@@ -28,7 +28,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.builder import PartState, TreeBuilder, adaptive_intervals, make_part_hists
+from repro.core.builder import (
+    PartState,
+    TreeBuilder,
+    adaptive_intervals,
+    charge_nid,
+    make_part_hists,
+)
 from repro.core.gini import gini_partition
 from repro.core.histogram import CategoryHistogram, ClassHistogram
 from repro.core.intervals import AttributeAnalysis, analyze_attribute
@@ -141,7 +147,7 @@ class CloudsBuilder(TreeBuilder):
                 stats.memory.allocate(f"hist/{t.node.node_id}", t.part.nbytes())
             for chunk in table.scan():
                 self._histogram_chunk(chunk, nid, routers, root_task if first_scan else None)
-            self._charge_nid(stats, n)
+            charge_nid(stats, n)
             routers = []
             first_scan = False
 
@@ -165,7 +171,7 @@ class CloudsBuilder(TreeBuilder):
                 pending_by_slot = {p.slot: p for p in pendings}
                 for chunk in table.scan():
                     self._probe_chunk(chunk, nid, pending_by_slot)
-                self._charge_nid(stats, n)
+                charge_nid(stats, n)
                 for p in pendings:
                     stats.memory.allocate(
                         f"probe/{p.node.node_id}",
@@ -457,8 +463,3 @@ class CloudsBuilder(TreeBuilder):
             and node.gini > cfg.min_gini
             and node.depth < cfg.max_depth
         )
-
-    @staticmethod
-    def _charge_nid(stats: BuildStats, n: int) -> None:
-        stats.io.count_aux_read(n)
-        stats.io.count_aux_write(n)

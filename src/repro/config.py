@@ -29,14 +29,6 @@ class BuilderConfig:
     min_gain: float = 1e-4
     #: Reservoir size used for root-grid quantiling during the first scan.
     reservoir_capacity: int = 10_000
-    #: Where the CMP-S root grid's equal-depth edges come from during the
-    #: quantiling scan: ``"reservoir"`` (uniform sample, the paper's
-    #: default) or ``"sketch"`` (deterministic mergeable quantile sketch
-    #: with an explicit rank-error bound — the streaming interval source,
-    #: see :mod:`repro.stream.sketch`).
-    interval_source: str = "reservoir"
-    #: Target rank-error fraction when ``interval_source="sketch"``.
-    sketch_eps: float = 0.02
     #: Simulated page capacity in records.
     page_records: int = 200
     #: Seed for any randomized tie-breaking / sampling inside builders.
@@ -128,10 +120,6 @@ class BuilderConfig:
             raise ValueError("criterion must be 'gini' or 'entropy'")
         if self.clouds_mode not in ("ss", "sse"):
             raise ValueError("clouds_mode must be 'ss' or 'sse'")
-        if self.interval_source not in ("reservoir", "sketch"):
-            raise ValueError("interval_source must be 'reservoir' or 'sketch'")
-        if not 0.0 < self.sketch_eps < 1.0:
-            raise ValueError("sketch_eps must be in (0, 1)")
         if not 0.0 < self.linear_accept_ratio <= 1.0:
             raise ValueError("linear_accept_ratio must be in (0, 1]")
         if self.scan_retries < 0:

@@ -7,16 +7,21 @@ holds the pieces common to the CMP family and the baselines:
 
 * :class:`BuildResult` — what ``build()`` returns.
 * :class:`TreeBuilder` — the abstract base: timing, pruning, validation.
-* Zone arithmetic for preliminary splits around alive intervals.
+* Zone arithmetic for preliminary splits around alive intervals
+  (:func:`alive_runs`, :func:`zone_boundaries`).
+* The ``nid`` record→slot map's I/O charge and slot remap.
 * :func:`resolve_exact_threshold` — the "from approximate split to exact
   split" computation (§2.1): combine boundary ginis with the sorted records
-  buffered from the alive intervals to find the globally best threshold.
+  buffered from the alive intervals to find the globally best threshold —
+  and :func:`resolve_single_level`, which applies it to a CMP-S-shaped
+  pending split.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -26,6 +31,7 @@ from repro.core.gini import gini_partition
 from repro.core.parallel import ScanEngine
 from repro.core import native_scan
 from repro.core.histogram import CategoryHistogram, ClassHistogram
+from repro.core.splits import NumericSplit
 from repro.core.tree import DecisionTree, Node, TreeAccount
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema
@@ -356,6 +362,64 @@ def classify_zones(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     return np.searchsorted(boundaries, values, side="left")
 
 
+def merge_contiguous(indices: list[int]) -> list[tuple[int, int]]:
+    """Collapse sorted interval indices into inclusive contiguous runs."""
+    runs: list[tuple[int, int]] = []
+    for i in indices:
+        if runs and i == runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], i)
+        else:
+            runs.append((i, i))
+    return runs
+
+
+def alive_runs(
+    hist: ClassHistogram, alive: list[int]
+) -> tuple[list[tuple[int, int]], list[tuple[float, float]], list[np.ndarray]]:
+    """Contiguous alive runs of ``hist`` with their value bounds.
+
+    Returns the inclusive interval-index runs, each run's value range
+    ``(lo, hi]`` (unbounded at the grid's ends) and the cumulative class
+    counts strictly below it — the inputs of
+    :func:`zone_boundaries` and :func:`resolve_exact_threshold`.
+    """
+    runs = merge_contiguous(alive)
+    q = hist.n_intervals
+    bounds: list[tuple[float, float]] = []
+    cum_below: list[np.ndarray] = []
+    for i0, i1 in runs:
+        lo = -np.inf if i0 == 0 else float(hist.edges[i0 - 1])
+        hi = np.inf if i1 == q - 1 else float(hist.edges[i1])
+        bounds.append((lo, hi))
+        cum_below.append(hist.cum_below(i0))
+    return runs, bounds, cum_below
+
+
+# ---------------------------------------------------------------------------
+# Record-to-slot map
+# ---------------------------------------------------------------------------
+
+
+def charge_nid(stats: BuildStats, n: int) -> None:
+    """Charge one scan's swap of the ``nid`` array (paper: kept on disk)."""
+    stats.io.count_aux_read(n)
+    stats.io.count_aux_write(n)
+
+
+def apply_remap(nid: np.ndarray, remap: dict[int, int]) -> None:
+    """Rewrite ``nid`` slots in place through ``remap``.
+
+    The lookup table is shifted by one so a ``-1`` entry (a record that
+    belongs to no node, e.g. one a bootstrap member never drew) stays
+    ``-1``.
+    """
+    upper = max(int(nid.max()), max(remap))
+    lookup = np.arange(-1, upper + 1, dtype=np.int64)
+    for src, dst in remap.items():
+        lookup[src + 1] = dst
+    nid[:] = lookup[nid + 1]
+
+
 # ---------------------------------------------------------------------------
 # Exact resolution of an estimated split
 # ---------------------------------------------------------------------------
@@ -460,16 +524,89 @@ def resolve_exact_threshold(
     return ResolvedThreshold(best_thr, best_gini, best_from_buffer, n_candidates)
 
 
+def resolve_single_level(
+    p: Any,
+    nid: np.ndarray,
+    remap: dict[int, int],
+    next_slot: Callable[[], int],
+    account: TreeAccount,
+    stats: BuildStats,
+) -> list[tuple[Node, Any]]:
+    """Materialize a single-level pending split (Figure 4, lines 11-13).
+
+    An exact split just turns its two parts into the node's children.  An
+    estimated one first resolves its threshold from the buffered alive
+    records, merges the preliminary parts into two fresh children on
+    either side of it and routes the buffered records after them.  A
+    split that leaves a side empty (the deciding histogram can be
+    approximate at its edges) is dropped: the node stays a leaf and its
+    slots fold back into the parent's.  Returns each child with the part
+    it is decided from.
+    """
+    if p.exact_split is not None:
+        split = p.exact_split
+        left, right = p.parts
+    else:
+        Xb, yb, rids = p.buffer.concatenated()
+        buf_vals = Xb[:, p.attr] if len(yb) else np.empty(0)
+        res = resolve_exact_threshold(
+            p.totals,
+            p.best_boundary_value,
+            p.best_boundary_gini,
+            p.alive_bounds,
+            p.alive_cum_below,
+            buf_vals,
+            yb,
+        )
+        if res is None:
+            for part in p.parts:
+                remap[part.slot] = p.parent_slot
+            return []
+        if res.from_buffer:
+            stats.splits_resolved_exactly += 1
+        split = NumericSplit(p.attr, res.threshold, n_candidates=res.n_candidates)
+        left, right = p.parts[0].clone_empty(), p.parts[0].clone_empty()
+        left.slot, right.slot = next_slot(), next_slot()
+        # Part r holds the values below alive interval r; the last part is
+        # unbounded above.
+        uppers = [lo for lo, __ in p.alive_bounds] + [np.inf]
+        for part, upper in zip(p.parts, uppers):
+            target = left if upper <= res.threshold else right
+            target.merge_from(part)
+            remap[part.slot] = target.slot
+        if len(yb):
+            goes_left = buf_vals <= res.threshold
+            left.update(Xb[goes_left], yb[goes_left])
+            right.update(Xb[~goes_left], yb[~goes_left])
+            nid[rids[goes_left]] = left.slot
+            nid[rids[~goes_left]] = right.slot
+
+    if left.class_counts.sum() == 0 or right.class_counts.sum() == 0:
+        for part in (*p.parts, left, right):
+            remap[part.slot] = p.parent_slot
+        return []
+    node = p.node
+    node.split = split
+    node.left = account.new_node(node.depth + 1, left.class_counts.copy())
+    node.right = account.new_node(node.depth + 1, right.class_counts.copy())
+    return [(node.left, left), (node.right, right)]
+
+
 __all__ = [
     "BuildResult",
     "TreeBuilder",
     "PartState",
     "RecordBuffer",
     "ResolvedThreshold",
+    "alive_runs",
+    "apply_remap",
+    "charge_nid",
     "make_part_hists",
+    "merge_contiguous",
     "zone_boundaries",
     "classify_zones",
     "resolve_exact_threshold",
+    "resolve_single_level",
     "TreeAccount",
     "Node",
     "DecisionTree",

@@ -26,6 +26,9 @@ Mechanics on top of CMP-S:
 * When the first split lands on a Y axis, on a categorical attribute, or
   has two or more alive intervals, the pending degrades gracefully to the
   CMP-S single-level behaviour (with matrices instead of histograms).
+
+The scans themselves run in :class:`~repro.core.level_driver.LevelDriver`,
+shared with CMP-S; this module supplies its strategy seams.
 """
 
 from __future__ import annotations
@@ -39,8 +42,11 @@ from repro.core.builder import (
     RecordBuffer,
     TreeBuilder,
     adaptive_intervals,
+    alive_runs,
     classify_zones,
+    merge_contiguous,
     resolve_exact_threshold,
+    resolve_single_level,
     zone_boundaries,
 )
 from repro.core.gini import gini, gini_partition
@@ -51,15 +57,13 @@ from repro.core.intervals import (
     choose_split_attribute,
     select_alive_intervals,
 )
-from repro.core.checkpoint import SlotCounter, loop_state as _loop_state
+from repro.core.level_driver import LevelDriver
 from repro.core.matrix import MatrixSet
-from repro.core.parallel import ScanEngine
 from repro.core.predict import predict_split
 from repro.core.splits import CategoricalSplit, LinearSplit, NumericSplit, Split
 from repro.core.tree import DecisionTree, Node, TreeAccount
-from repro.core.cmp_s import merge_contiguous
 from repro.data.dataset import Dataset
-from repro.data.discretize import ReservoirSampler, edges_from_histogram, equal_depth_edges
+from repro.data.discretize import edges_from_histogram
 from repro.data.schema import Schema
 from repro.io.metrics import BuildStats
 from repro.io.pager import ScanChunk
@@ -74,6 +78,20 @@ class BPart:
     slot: int
     mset: MatrixSet
     predicted: bool
+
+    @property
+    def class_counts(self) -> np.ndarray:
+        """Class counts of the records routed into the part."""
+        assert self.mset.class_counts is not None
+        return self.mset.class_counts
+
+    def update(self, X: np.ndarray, y: np.ndarray) -> None:
+        """Add a batch of records to the part's matrices."""
+        self.mset.update(X, y)
+
+    def nbytes(self) -> int:
+        """Memory footprint of the part's matrices."""
+        return self.mset.nbytes()
 
     def clone_empty(self) -> "BPart":
         """Structural copy with zeroed matrices (a worker's scan delta)."""
@@ -214,26 +232,27 @@ class BPending:
         for side, dside in zip(self.sides, delta.sides):
             side.merge_scan_delta(dside)
 
+    def parts_nbytes(self) -> int:
+        """Bytes of every preliminary part's matrices."""
+        return sum(part.nbytes() for part in self.all_parts())
+
     def delta_nbytes(self) -> int:
         """Bytes one fresh scan delta occupies (buffers start empty)."""
-        total = sum(part.mset.nbytes() for part in self.all_parts())
+        total = self.parts_nbytes()
         for side in self.sides:
             if side.second is not None and side.second.aux_hist is not None:
                 total += side.second.aux_hist.nbytes()
         return total
 
-    def region_bounds(self) -> list[tuple[float, float]]:
-        """Value range per part (single-level estimated path only)."""
-        bounds: list[tuple[float, float]] = []
-        prev_hi = -np.inf
-        for lo, hi in self.alive_bounds:
-            bounds.append((prev_hi, lo))
-            prev_hi = hi
-        bounds.append((prev_hi, np.inf))
-        return bounds
+    def buffer_nbytes(self) -> int:
+        """Bytes of records buffered by the last scan, second levels included."""
+        return self.buffer.nbytes() + sum(
+            s.second.buffer.nbytes() for s in self.sides if s.second is not None
+        )
 
 
-DecideItem = tuple[Node, int, MatrixSet, bool]
+#: A resolved child node and the part whose summary it is decided from.
+Child = tuple[Node, BPart]
 
 
 class CMPBBuilder(TreeBuilder):
@@ -246,147 +265,17 @@ class CMPBBuilder(TreeBuilder):
     SECOND_MAX_ALIVE = 1
 
     def _build(self, dataset: Dataset, stats: BuildStats) -> DecisionTree:
-        if self.config.criterion != "gini":
-            raise ValueError(f"{self.name} supports only the gini criterion")
         if len(dataset.schema.continuous_indices()) < 2:
             raise ValueError("CMP-B needs at least two continuous attributes")
-        engine = self._scan_engine()
-        try:
-            return self._build_loop(dataset, stats, engine)
-        finally:
-            stats.parallel_batches += engine.batches_dispatched
-            engine.close()
+        return LevelDriver.run(self, dataset, stats)
 
-    def _build_loop(
-        self, dataset: Dataset, stats: BuildStats, engine: ScanEngine
-    ) -> DecisionTree:
-        cfg = self.config
-        schema = dataset.schema
-        n, c = dataset.n_records, dataset.n_classes
+    def _root_summary(
+        self, schema: Schema, root_edges: dict[int, np.ndarray], rng: np.random.Generator
+    ) -> BPart:
+        # The root's X axis is selected randomly (§2.2).
         cont = schema.continuous_indices()
-        table = self._open_table(dataset, stats)
-        ckpt = self._checkpointer(dataset)
-
-        state = None
-        if ckpt is not None and cfg.resume and ckpt.exists():
-            level, state = ckpt.load(stats)
-        if state is not None:
-            account: TreeAccount = state["account"]
-            root: Node = state["root"]
-            nid: np.ndarray = state["nid"]
-            pendings: dict[int, BPending] = state["pendings"]
-            next_slot: SlotCounter = state["next_slot"]
-        else:
-            account = TreeAccount()
-            rng = np.random.default_rng(cfg.seed)
-
-            # --- Scan 1: quantiling pass (root grid + class totals). ------
-            # Reservoir sampling consumes records in stream order, so this
-            # scan stays serial under every worker count.
-            reservoirs = {
-                j: ReservoirSampler(cfg.reservoir_capacity, rng) for j in cont
-            }
-            totals = np.zeros(c, dtype=np.float64)
-            with stats.phase("scan"):
-                for chunk in table.scan():
-                    totals += np.bincount(chunk.y, minlength=c)
-                    for j in cont:
-                        reservoirs[j].extend(chunk.X[:, j])
-            root_edges = {
-                j: equal_depth_edges(reservoirs[j].sample(), cfg.n_intervals)
-                for j in cont
-            }
-            del reservoirs
-            root = account.new_node(0, totals)
-            # The root's X axis is selected randomly (§2.2).
-            root_x = int(cont[rng.integers(0, len(cont))])
-
-            nid = np.zeros(n, dtype=np.int64)
-            next_slot = SlotCounter()
-
-            # --- Scan 2: root matrices (Figure 10, line 03). ---------------
-            root_mset = MatrixSet.create(schema, root_x, root_edges)
-            stats.memory.allocate("mset/root", root_mset.nbytes())
-            with stats.phase("scan"):
-                engine.scan(
-                    table,
-                    route=lambda chunk, mset: mset.update(chunk.X, chunk.y),
-                    live=root_mset,
-                    make_delta=root_mset.clone_empty,
-                    merge_delta=root_mset.merge_from,
-                    memory=stats.memory,
-                    delta_nbytes=root_mset.nbytes(),
-                )
-            self._charge_nid(stats, n)
-
-            pendings = {}
-            with stats.phase("resolve"):
-                first = self._decide(root, 0, root_mset, False, next_slot, schema, stats)
-            stats.memory.release("mset/root")
-            if first is not None:
-                pendings[0] = first
-            level = 0
-            if ckpt is not None:
-                with stats.phase("checkpoint"):
-                    ckpt.save(level, _loop_state(account, root, nid, pendings, next_slot), stats)
-
-        # --- One scan per one-or-two levels (Figure 10). -------------------
-        while pendings:
-            with stats.tracer.span("level", level=level + 1, pendings=len(pendings)):
-                live = pendings
-                with stats.phase("scan"):
-                    engine.scan(
-                        table,
-                        route=lambda chunk, tgt: self._route_chunk(chunk, nid, tgt),
-                        live=live,
-                        make_delta=lambda: {
-                            slot: p.scan_delta() for slot, p in live.items()
-                        },
-                        merge_delta=lambda delta: [
-                            live[slot].merge_scan_delta(d) for slot, d in delta.items()
-                        ],
-                        memory=stats.memory,
-                        delta_nbytes=sum(p.delta_nbytes() for p in live.values()),
-                        writeback=nid,
-                    )
-                self._charge_nid(stats, n)
-                for p in pendings.values():
-                    stats.memory.allocate(
-                        f"buf/{p.node.node_id}",
-                        p.buffer.nbytes()
-                        + sum(
-                            s.second.buffer.nbytes()
-                            for s in p.sides
-                            if s.second is not None
-                        ),
-                    )
-
-                with stats.phase("resolve"):
-                    new_pendings: dict[int, BPending] = {}
-                    remap: dict[int, int] = {}
-                    for p in pendings.values():
-                        items = self._resolve(p, nid, remap, next_slot, account, schema, stats)
-                        stats.memory.release(f"parts/{p.node.node_id}")
-                        stats.memory.release(f"buf/{p.node.node_id}")
-                        for child, slot, mset, predicted in items:
-                            stats.memory.allocate(f"mset/{child.node_id}", mset.nbytes())
-                            q = self._decide(child, slot, mset, predicted, next_slot, schema, stats)
-                            stats.memory.release(f"mset/{child.node_id}")
-                            if q is not None:
-                                new_pendings[slot] = q
-                    if remap:
-                        self._apply_remap(nid, remap)
-                pendings = new_pendings
-                if cfg.prune == "public":
-                    pendings = self._public_pass(root, pendings)
-                level += 1
-                if ckpt is not None:
-                    with stats.phase("checkpoint"):
-                        ckpt.save(level, _loop_state(account, root, nid, pendings, next_slot), stats)
-
-        if ckpt is not None:
-            ckpt.clear()
-        return DecisionTree(root, schema)
+        root_x = int(cont[rng.integers(0, len(cont))])
+        return BPart(0, MatrixSet.create(schema, root_x, root_edges), False)
 
     # ------------------------------------------------------------------ routing
 
@@ -484,14 +373,13 @@ class CMPBBuilder(TreeBuilder):
     def _decide(
         self,
         node: Node,
-        slot: int,
-        mset: MatrixSet,
-        predicted: bool,
+        part: BPart,
         next_slot: Callable[[], int],
         schema: Schema,
         stats: BuildStats,
     ) -> BPending | None:
         cfg = self.config
+        slot, mset = part.slot, part.mset
         if (
             node.n_records < cfg.min_records
             or node.gini <= cfg.min_gini
@@ -528,7 +416,7 @@ class CMPBBuilder(TreeBuilder):
                 best_cat_gini, best_cat = g, (j, cmask)
 
         # Prediction accounting: was the X axis the attribute that wins?
-        if predicted:
+        if part.predicted:
             stats.predictions_made += 1
             chosen = (
                 winner.attr
@@ -547,7 +435,7 @@ class CMPBBuilder(TreeBuilder):
         # splits look poor (overridden by CMPBuilder; returns None here).
         linear = self._maybe_linear(
             node, slot, mset, min(cont_score, best_cat_gini), node_hists,
-            parent_scores, next_slot, schema, stats,
+            parent_scores, next_slot, schema,
         )
         if linear is not None:
             return linear
@@ -560,26 +448,25 @@ class CMPBBuilder(TreeBuilder):
             split: Split = CategoricalSplit(j, tuple(bool(b) for b in cmask))
             return self._single_level_pending(
                 node, slot, split, None, node_hists, parent_scores,
-                mset.x_attr, next_slot, schema, stats,
+                mset.x_attr, next_slot, schema,
             )
 
         assert winner is not None
-        runs = merge_contiguous(winner.alive)
-        if len(runs) <= 1:
+        if len(merge_contiguous(winner.alive)) <= 1:
             # Sides are deterministic: plan each one individually.  A split
             # on the X axis gets exact sub-matrices of every attribute (and
             # may split again, Figure 10 line 18); a split on a Y axis b
             # still yields exact x/b marginals from the sliced (x, b)
             # matrix, used for prediction only (Figure 7, line 2).
             return self._sided_pending(
-                node, slot, mset, winner, runs, parent_scores, node_hists,
-                next_slot, schema, stats,
+                node, slot, mset, winner, parent_scores, node_hists,
+                next_slot, schema,
             )
         # Two or more alive runs: sides are ambiguous until resolution,
         # so fall back to single-level growth with a shared prediction.
         return self._single_level_pending(
             node, slot, None, winner, node_hists, parent_scores,
-            mset.x_attr, next_slot, schema, stats,
+            mset.x_attr, next_slot, schema,
         )
 
     # -- single-level pendings ----------------------------------------------------
@@ -595,7 +482,6 @@ class CMPBBuilder(TreeBuilder):
         current_x: int,
         next_slot: Callable[[], int],
         schema: Schema,
-        stats: BuildStats,
     ) -> BPending | None:
         cfg = self.config
         try:
@@ -614,13 +500,7 @@ class CMPBBuilder(TreeBuilder):
                     n_candidates=max(1, len(winner.edges)),
                 )
             else:
-                runs = merge_contiguous(winner.alive)
-                q = hist.n_intervals
-                for i0, i1 in runs:
-                    lo = -np.inf if i0 == 0 else float(hist.edges[i0 - 1])
-                    hi = np.inf if i1 == q - 1 else float(hist.edges[i1])
-                    p.alive_bounds.append((lo, hi))
-                    p.alive_cum_below.append(hist.cum_below(i0))
+                __, p.alive_bounds, p.alive_cum_below = alive_runs(hist, winner.alive)
                 p.attr = winner.attr
                 p.zone_bounds = zone_boundaries(p.alive_bounds)
                 p.totals = hist.totals()
@@ -636,9 +516,6 @@ class CMPBBuilder(TreeBuilder):
             BPart(next_slot(), MatrixSet.create(schema, predicted_x, child_edges), True)
             for _ in range(n_parts)
         ]
-        stats.memory.allocate(
-            f"parts/{node.node_id}", sum(part.mset.nbytes() for part in p.parts)
-        )
         return p
 
     # -- two-level pendings ----------------------------------------------------------
@@ -649,12 +526,10 @@ class CMPBBuilder(TreeBuilder):
         slot: int,
         mset: MatrixSet,
         winner: AttributeAnalysis,
-        runs: list[tuple[int, int]],
         parent_scores: dict[int, float],
         node_hists: dict[int, ClassHistogram],
         next_slot: Callable[[], int],
         schema: Schema,
-        stats: BuildStats,
     ) -> BPending:
         """A first split with deterministic sides (at most one alive run).
 
@@ -665,12 +540,9 @@ class CMPBBuilder(TreeBuilder):
         q1 = first_hist.n_intervals
         allow_second = winner.attr == mset.x_attr
         p = BPending(node=node, parent_slot=slot, attr=winner.attr, two_level=True)
+        runs, p.alive_bounds, p.alive_cum_below = alive_runs(first_hist, winner.alive)
         if runs:
             i0, i1 = runs[0]
-            lo = -np.inf if i0 == 0 else float(first_hist.edges[i0 - 1])
-            hi = np.inf if i1 == q1 - 1 else float(first_hist.edges[i1])
-            p.alive_bounds = [(lo, hi)]
-            p.alive_cum_below = [first_hist.cum_below(i0)]
             p.zone_bounds = zone_boundaries(p.alive_bounds)
             p.totals = first_hist.totals()
             p.best_boundary_value = (
@@ -694,10 +566,6 @@ class CMPBBuilder(TreeBuilder):
                     parent_scores, next_slot, schema,
                 )
             )
-        stats.memory.allocate(
-            f"parts/{node.node_id}",
-            sum(part.mset.nbytes() for part in p.all_parts()),
-        )
         return p
 
     def _side_hists(
@@ -782,7 +650,7 @@ class CMPBBuilder(TreeBuilder):
         hist: ClassHistogram,
         schema: Schema,
     ) -> SecondSplit:
-        runs = merge_contiguous(side_winner.alive)
+        runs, bounds, __ = alive_runs(hist, side_winner.alive)
         if not runs:
             return SecondSplit(
                 attr=side_winner.attr,
@@ -793,10 +661,7 @@ class CMPBBuilder(TreeBuilder):
                     n_candidates=max(1, len(side_winner.edges)),
                 ),
             )
-        i0, i1 = runs[0]
-        q = hist.n_intervals
-        lo = -np.inf if i0 == 0 else float(hist.edges[i0 - 1])
-        hi = np.inf if i1 == q - 1 else float(hist.edges[i1])
+        (i0, i1), (lo, hi) = runs[0], bounds[0]
         return SecondSplit(
             attr=side_winner.attr,
             parts=[],
@@ -835,7 +700,6 @@ class CMPBBuilder(TreeBuilder):
         parent_scores: dict[int, float],
         next_slot: Callable[[], int],
         schema: Schema,
-        stats: BuildStats,
     ) -> BPending | None:
         """Linear-combination split hook; CMP-B never takes one."""
         return None
@@ -849,83 +713,12 @@ class CMPBBuilder(TreeBuilder):
         account: TreeAccount,
         schema: Schema,
         stats: BuildStats,
-    ) -> list[DecideItem]:
+    ) -> list[Child]:
         if p.linear is not None:
             return self._resolve_linear(p, nid, remap, account, schema, stats)
         if p.two_level:
             return self._resolve_two_level(p, nid, remap, account, schema, stats)
-        node = p.node
-        if p.exact_split is not None:
-            lpart, rpart = p.parts
-            lc = lpart.mset.class_counts
-            rc = rpart.mset.class_counts
-            assert lc is not None and rc is not None
-            if lc.sum() == 0 or rc.sum() == 0:
-                for part in p.parts:
-                    remap[part.slot] = p.parent_slot
-                return []
-            node.split = p.exact_split
-            left = account.new_node(node.depth + 1, lc.copy())
-            right = account.new_node(node.depth + 1, rc.copy())
-            node.left, node.right = left, right
-            return [
-                (left, lpart.slot, lpart.mset, lpart.predicted),
-                (right, rpart.slot, rpart.mset, rpart.predicted),
-            ]
-
-        Xb, yb, rids = p.buffer.concatenated()
-        buf_vals = Xb[:, p.attr] if len(yb) else np.empty(0)
-        res = resolve_exact_threshold(
-            p.totals,
-            p.best_boundary_value,
-            p.best_boundary_gini,
-            p.alive_bounds,
-            p.alive_cum_below,
-            buf_vals,
-            yb,
-        )
-        if res is None:
-            for part in p.parts:
-                remap[part.slot] = p.parent_slot
-            return []
-        if res.from_buffer:
-            stats.splits_resolved_exactly += 1
-        threshold = res.threshold
-
-        base = p.parts[0]
-        left_mset = MatrixSet.create(
-            schema, base.mset.x_attr, self._edges_of(base.mset, schema)
-        )
-        right_mset = MatrixSet.create(
-            schema, base.mset.x_attr, self._edges_of(base.mset, schema)
-        )
-        lslot, rslot = next_slot(), next_slot()
-        for part, (__, hi) in zip(p.parts, p.region_bounds()):
-            target, slot = (
-                (left_mset, lslot) if hi <= threshold else (right_mset, rslot)
-            )
-            target.merge_from(part.mset)
-            remap[part.slot] = slot
-        if len(yb):
-            goes_left = buf_vals <= threshold
-            left_mset.update(Xb[goes_left], yb[goes_left])
-            right_mset.update(Xb[~goes_left], yb[~goes_left])
-            nid[rids[goes_left]] = lslot
-            nid[rids[~goes_left]] = rslot
-        assert left_mset.class_counts is not None
-        assert right_mset.class_counts is not None
-        if left_mset.class_counts.sum() == 0 or right_mset.class_counts.sum() == 0:
-            for part in p.parts:
-                remap[part.slot] = p.parent_slot
-            return []
-        node.split = NumericSplit(p.attr, threshold, n_candidates=res.n_candidates)
-        left = account.new_node(node.depth + 1, left_mset.class_counts.copy())
-        right = account.new_node(node.depth + 1, right_mset.class_counts.copy())
-        node.left, node.right = left, right
-        return [
-            (left, lslot, left_mset, base.predicted),
-            (right, rslot, right_mset, p.parts[-1].predicted),
-        ]
+        return resolve_single_level(p, nid, remap, next_slot, account, stats)
 
     def _resolve_linear(
         self,
@@ -935,7 +728,7 @@ class CMPBBuilder(TreeBuilder):
         account: TreeAccount,
         schema: Schema,
         stats: BuildStats,
-    ) -> list[DecideItem]:
+    ) -> list[Child]:
         """Resolve a linear split's exact intercept from its band buffer.
 
         Candidates: the band's lower edge (everything buffered goes right)
@@ -946,8 +739,6 @@ class CMPBBuilder(TreeBuilder):
         assert p.linear is not None
         node = p.node
         under, above = p.parts
-        assert under.mset.class_counts is not None
-        assert above.mset.class_counts is not None
         Xb, yb, rids = p.buffer.concatenated()
         w = p.linear.project(Xb) if len(yb) else np.empty(0)
         buf_counts = (
@@ -955,8 +746,8 @@ class CMPBBuilder(TreeBuilder):
             if len(yb)
             else np.zeros(schema.n_classes)
         )
-        base = under.mset.class_counts
-        totals = base + above.mset.class_counts + buf_counts
+        base = under.class_counts
+        totals = base + above.class_counts + buf_counts
         n = totals.sum()
 
         cand_thr = [float(p.zone_bounds[0])]
@@ -996,23 +787,17 @@ class CMPBBuilder(TreeBuilder):
             above.mset.update(Xb[~goes_left], yb[~goes_left])
             nid[rids[goes_left]] = under.slot
             nid[rids[~goes_left]] = above.slot
-        if (
-            under.mset.class_counts.sum() == 0
-            or above.mset.class_counts.sum() == 0
-        ):
+        if under.class_counts.sum() == 0 or above.class_counts.sum() == 0:
             for part in p.parts:
                 remap[part.slot] = p.parent_slot
             return []
         stats.linear_splits += 1
         stats.splits_resolved_exactly += 1
         node.split = split
-        leftn = account.new_node(node.depth + 1, under.mset.class_counts.copy())
-        rightn = account.new_node(node.depth + 1, above.mset.class_counts.copy())
+        leftn = account.new_node(node.depth + 1, under.class_counts.copy())
+        rightn = account.new_node(node.depth + 1, above.class_counts.copy())
         node.left, node.right = leftn, rightn
-        return [
-            (leftn, under.slot, under.mset, under.predicted),
-            (rightn, above.slot, above.mset, above.predicted),
-        ]
+        return [(leftn, under), (rightn, above)]
 
     def _resolve_two_level(
         self,
@@ -1022,7 +807,7 @@ class CMPBBuilder(TreeBuilder):
         account: TreeAccount,
         schema: Schema,
         stats: BuildStats,
-    ) -> list[DecideItem]:
+    ) -> list[Child]:
         node = p.node
         if p.first_exact_threshold is not None:
             threshold = p.first_exact_threshold
@@ -1053,7 +838,7 @@ class CMPBBuilder(TreeBuilder):
                     if m.any():
                         self._route_side(p.sides[s], Xb[m], yb[m], rids[m], nid)
 
-        items: list[DecideItem] = []
+        items: list[Child] = []
         children: list[Node] = []
         for side in p.sides:
             child, child_items = self._finish_side(
@@ -1081,13 +866,12 @@ class CMPBBuilder(TreeBuilder):
         account: TreeAccount,
         schema: Schema,
         stats: BuildStats,
-    ) -> tuple[Node, list[DecideItem]]:
+    ) -> tuple[Node, list[Child]]:
         if side.second is None:
             assert side.part is not None
             part = side.part
-            assert part.mset.class_counts is not None
-            child = account.new_node(parent_depth + 1, part.mset.class_counts.copy())
-            return child, [(child, part.slot, part.mset, part.predicted)]
+            child = account.new_node(parent_depth + 1, part.class_counts.copy())
+            return child, [(child, part)]
 
         sec = side.second
         if sec.exact_split is not None:
@@ -1107,27 +891,19 @@ class CMPBBuilder(TreeBuilder):
                 rpart.mset.update(Xb[~goes_left], yb[~goes_left])
                 nid[rids[goes_left]] = lpart.slot
                 nid[rids[~goes_left]] = rpart.slot
-        assert lpart.mset.class_counts is not None
-        assert rpart.mset.class_counts is not None
-        if (
-            lpart.mset.class_counts.sum() == 0
-            or rpart.mset.class_counts.sum() == 0
-        ):
+        if lpart.class_counts.sum() == 0 or rpart.class_counts.sum() == 0:
             return self._merge_side(side, parent_depth, remap, nid, account)
         stats.two_level_splits += 1
         child = account.new_node(
             parent_depth + 1,
-            lpart.mset.class_counts + rpart.mset.class_counts,
+            lpart.class_counts + rpart.class_counts,
         )
         child.split = split
         stats.second_level_node_ids.append(child.node_id)
-        gl = account.new_node(parent_depth + 2, lpart.mset.class_counts.copy())
-        gr = account.new_node(parent_depth + 2, rpart.mset.class_counts.copy())
+        gl = account.new_node(parent_depth + 2, lpart.class_counts.copy())
+        gr = account.new_node(parent_depth + 2, rpart.class_counts.copy())
         child.left, child.right = gl, gr
-        return child, [
-            (gl, lpart.slot, lpart.mset, lpart.predicted),
-            (gr, rpart.slot, rpart.mset, rpart.predicted),
-        ]
+        return child, [(gl, lpart), (gr, rpart)]
 
     def _resolve_second(
         self, sec: SecondSplit, schema: Schema, stats: BuildStats
@@ -1195,7 +971,7 @@ class CMPBBuilder(TreeBuilder):
         remap: dict[int, int],
         nid: np.ndarray,
         account: TreeAccount,
-    ) -> tuple[Node, list[DecideItem]]:
+    ) -> tuple[Node, list[Child]]:
         """Collapse a side whose second split failed into one child."""
         sec = side.second
         assert sec is not None
@@ -1206,41 +982,5 @@ class CMPBBuilder(TreeBuilder):
         if len(yb):
             lpart.mset.update(Xb, yb)
             nid[rids] = lpart.slot
-        assert lpart.mset.class_counts is not None
-        child = account.new_node(parent_depth + 1, lpart.mset.class_counts.copy())
-        return child, [(child, lpart.slot, lpart.mset, lpart.predicted)]
-
-    # ------------------------------------------------------------------ misc
-
-    @staticmethod
-    def _edges_of(mset: MatrixSet, schema: Schema) -> dict[int, np.ndarray]:
-        edges = {mset.x_attr: mset.x_edges}
-        for j, m in mset.matrices.items():
-            edges[j] = m.y_edges
-        return edges
-
-    @staticmethod
-    def _charge_nid(stats: BuildStats, n: int) -> None:
-        stats.io.count_aux_read(n)
-        stats.io.count_aux_write(n)
-
-    @staticmethod
-    def _apply_remap(nid: np.ndarray, remap: dict[int, int]) -> None:
-        size = max(int(nid.max()), max(remap)) + 1
-        lookup = np.arange(size, dtype=np.int64)
-        for src, dst in remap.items():
-            lookup[src] = dst
-        nid[:] = lookup[nid]
-
-    def _public_pass(
-        self, root: Node, pendings: dict[int, BPending]
-    ) -> dict[int, BPending]:
-        from repro.pruning.public import public_prune_pass
-
-        open_ids = {p.node.node_id for p in pendings.values()}
-        removed = public_prune_pass(root, open_ids)
-        if not removed:
-            return pendings
-        return {
-            slot: p for slot, p in pendings.items() if p.node.node_id not in removed
-        }
+        child = account.new_node(parent_depth + 1, lpart.class_counts.copy())
+        return child, [(child, lpart)]

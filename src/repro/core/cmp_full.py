@@ -38,7 +38,6 @@ from repro.core.predict import predict_split
 from repro.core.splits import LinearSplit
 from repro.core.tree import Node
 from repro.data.schema import Schema
-from repro.io.metrics import BuildStats
 
 
 class CMPBuilder(CMPBBuilder):
@@ -56,7 +55,6 @@ class CMPBuilder(CMPBBuilder):
         parent_scores: dict[int, float],
         next_slot: Callable[[], int],
         schema: Schema,
-        stats: BuildStats,
     ) -> BPending | None:
         cfg = self.config
         if node.n_records < cfg.linear_min_records:
@@ -87,7 +85,4 @@ class CMPBuilder(CMPBBuilder):
             BPart(next_slot(), MatrixSet.create(schema, predicted_x, child_edges), True)
             for _ in range(2)
         ]
-        stats.memory.allocate(
-            f"parts/{node.node_id}", sum(part.mset.nbytes() for part in p.parts)
-        )
         return p

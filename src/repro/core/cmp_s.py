@@ -24,6 +24,11 @@ quantiling pass that fixes the root interval grid (charged to CLOUDS
 identically, see DESIGN.md §3) and the root-histogram pass of line 03.
 Child grids are re-quantiled from the parent's histograms without touching
 the data (:func:`repro.data.discretize.edges_from_histogram`).
+
+The scans, checkpoints and memory ledger belong to
+:class:`~repro.core.level_driver.LevelDriver`; this module supplies its
+strategy seams — per-attribute histograms as the root summary, routing,
+resolution (steps 1-3) and the decision (step 4).
 """
 
 from __future__ import annotations
@@ -35,22 +40,22 @@ import numpy as np
 
 from repro.core.builder import (
     PartState,
-    adaptive_intervals,
     RecordBuffer,
     TreeBuilder,
+    adaptive_intervals,
+    alive_runs,
     classify_zones,
     make_part_hists,
-    resolve_exact_threshold,
+    resolve_single_level,
     zone_boundaries,
 )
-from repro.core.checkpoint import SlotCounter, loop_state as _loop_state
 from repro.core.histogram import CategoryHistogram, ClassHistogram
-from repro.core.parallel import ScanEngine
 from repro.core.intervals import analyze_attribute, choose_split_attribute
+from repro.core.level_driver import LevelDriver
 from repro.core.splits import CategoricalSplit, NumericSplit, Split
 from repro.core.tree import DecisionTree, Node, TreeAccount
 from repro.data.dataset import Dataset
-from repro.data.discretize import ReservoirSampler, edges_from_histogram, equal_depth_edges
+from repro.data.discretize import edges_from_histogram
 from repro.data.schema import Schema
 from repro.io.metrics import BuildStats
 from repro.io.pager import ScanChunk
@@ -72,7 +77,6 @@ class PendingSplit:
 
     node: Node
     parent_slot: int
-    child_edges: dict[int, np.ndarray]
     exact_split: Split | None = None
     attr: int = -1
     zone_bounds: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -83,11 +87,6 @@ class PendingSplit:
     best_boundary_gini: float = np.inf
     parts: list[PartState] = field(default_factory=list)
     buffer: RecordBuffer = field(default_factory=RecordBuffer)
-
-    @property
-    def is_estimated(self) -> bool:
-        """True when the exact threshold is still pending."""
-        return self.exact_split is None
 
     def scan_delta(self) -> "PendingSplit":
         """Structural clone with empty accumulators (one worker's delta).
@@ -108,30 +107,17 @@ class PendingSplit:
             part.merge_from(dpart)
         self.buffer.extend_from(delta.buffer)
 
-    def delta_nbytes(self) -> int:
-        """Bytes one fresh scan delta occupies (buffers start empty)."""
+    def parts_nbytes(self) -> int:
+        """Bytes of the preliminary parts' histograms."""
         return sum(part.nbytes() for part in self.parts)
 
-    def region_bounds(self) -> list[tuple[float, float]]:
-        """Value range covered by each preliminary part, in order."""
-        bounds: list[tuple[float, float]] = []
-        prev_hi = -np.inf
-        for lo, hi in self.alive_bounds:
-            bounds.append((prev_hi, lo))
-            prev_hi = hi
-        bounds.append((prev_hi, np.inf))
-        return bounds
+    def delta_nbytes(self) -> int:
+        """Bytes one fresh scan delta occupies (buffers start empty)."""
+        return self.parts_nbytes()
 
-
-def merge_contiguous(indices: list[int]) -> list[tuple[int, int]]:
-    """Collapse sorted interval indices into inclusive contiguous runs."""
-    runs: list[tuple[int, int]] = []
-    for i in indices:
-        if runs and i == runs[-1][1] + 1:
-            runs[-1] = (runs[-1][0], i)
-        else:
-            runs.append((i, i))
-    return runs
+    def buffer_nbytes(self) -> int:
+        """Bytes of alive-interval records buffered by the last scan."""
+        return self.buffer.nbytes()
 
 
 class CMPSBuilder(TreeBuilder):
@@ -141,197 +127,12 @@ class CMPSBuilder(TreeBuilder):
     supports_integrated_pruning = True
 
     def _build(self, dataset: Dataset, stats: BuildStats) -> DecisionTree:
-        if self.config.criterion != "gini":
-            raise ValueError(f"{self.name} supports only the gini criterion")
-        engine = self._scan_engine()
-        try:
-            return self._build_loop(dataset, stats, engine)
-        finally:
-            stats.parallel_batches += engine.batches_dispatched
-            engine.close()
+        return LevelDriver.run(self, dataset, stats)
 
-    def _build_loop(
-        self, dataset: Dataset, stats: BuildStats, engine: ScanEngine
-    ) -> DecisionTree:
-        cfg = self.config
-        schema = dataset.schema
-        n, c = dataset.n_records, dataset.n_classes
-        table = self._open_table(dataset, stats)
-        ckpt = self._checkpointer(dataset)
-        cont = schema.continuous_indices()
-
-        state = None
-        if ckpt is not None and cfg.resume and ckpt.exists():
-            level, state = ckpt.load(stats)
-        if state is not None:
-            account: TreeAccount = state["account"]
-            root: Node = state["root"]
-            nid: np.ndarray = state["nid"]
-            pendings: dict[int, PendingSplit] = state["pendings"]
-            next_slot: SlotCounter = state["next_slot"]
-        else:
-            account = TreeAccount()
-            rng = np.random.default_rng(cfg.seed)
-
-            # --- Scan 1: quantiling pass (root grid + class totals). ------
-            # Summaries consume records in stream order, so this scan
-            # stays serial under every worker count.  Both interval
-            # sources expose .extend(values) / .edges(q): the reservoir
-            # is the paper's uniform sample; the sketch is the streaming
-            # alternative with a deterministic rank-error bound
-            # (config.interval_source, PAPERS.md streaming split work).
-            if cfg.interval_source == "sketch":
-                from repro.stream.sketch import QuantileSketch
-
-                summaries: dict[int, object] = {
-                    j: QuantileSketch(cfg.sketch_eps) for j in cont
-                }
-            else:
-                summaries = {
-                    j: ReservoirSampler(cfg.reservoir_capacity, rng)
-                    for j in cont
-                }
-            totals = np.zeros(c, dtype=np.float64)
-            with stats.phase("scan"):
-                for chunk in table.scan():
-                    totals += np.bincount(chunk.y, minlength=c)
-                    for j in cont:
-                        summaries[j].extend(chunk.X[:, j])
-            root_edges = {
-                j: summaries[j].edges(cfg.n_intervals) for j in cont
-            }
-            del summaries
-            root = account.new_node(0, totals)
-
-            nid = np.zeros(n, dtype=np.int64)
-            next_slot = SlotCounter()
-
-            # --- Scan 2: root histograms (Figure 4, line 03). -------------
-            root_part = PartState(0, c, make_part_hists(schema, root_edges))
-            stats.memory.allocate("hist/root", root_part.nbytes())
-            with stats.phase("scan"):
-                engine.scan(
-                    table,
-                    route=lambda chunk, part: part.update(chunk.X, chunk.y),
-                    live=root_part,
-                    make_delta=root_part.clone_empty,
-                    merge_delta=root_part.merge_from,
-                    memory=stats.memory,
-                    delta_nbytes=root_part.nbytes(),
-                )
-            self._charge_nid(stats, n)
-
-            pendings = {}
-            with stats.phase("resolve"):
-                first = self._decide(root, 0, root_part.hists, next_slot, schema, stats)
-            stats.memory.release("hist/root")
-            if first is not None:
-                pendings[0] = first
-            level = 0
-            if ckpt is not None:
-                with stats.phase("checkpoint"):
-                    ckpt.save(level, _loop_state(account, root, nid, pendings, next_slot), stats)
-
-        # --- One scan per level (Figure 4, lines 01-21). ------------------
-        while pendings:
-            with stats.tracer.span("level", level=level + 1, pendings=len(pendings)):
-                live = pendings
-                with stats.phase("scan"):
-                    engine.scan(
-                        table,
-                        route=lambda chunk, tgt: self._route_chunk(chunk, nid, tgt),
-                        live=live,
-                        make_delta=lambda: {
-                            slot: p.scan_delta() for slot, p in live.items()
-                        },
-                        merge_delta=lambda delta: [
-                            live[slot].merge_scan_delta(d) for slot, d in delta.items()
-                        ],
-                        memory=stats.memory,
-                        delta_nbytes=sum(p.delta_nbytes() for p in live.values()),
-                        writeback=nid,
-                    )
-                self._charge_nid(stats, n)
-                overflowed = [
-                    p for p in pendings.values() if p.is_estimated and p.buffer.overflowed
-                ]
-                if overflowed:
-                    with stats.phase("scan"):
-                        self._refill_overflowed(table, nid, overflowed, stats, n, engine)
-                for p in pendings.values():
-                    stats.memory.allocate(f"buf/{p.node.node_id}", p.buffer.nbytes())
-
-                with stats.phase("resolve"):
-                    new_pendings: dict[int, PendingSplit] = {}
-                    remap: dict[int, int] = {}
-                    for p in pendings.values():
-                        children = self._resolve(p, nid, remap, next_slot, account, schema, stats)
-                        stats.memory.release(f"parts/{p.node.node_id}")
-                        stats.memory.release(f"buf/{p.node.node_id}")
-                        for child, slot, hists in children:
-                            stats.memory.allocate(f"hist/{child.node_id}", _hists_nbytes(hists))
-                            q = self._decide(child, slot, hists, next_slot, schema, stats)
-                            stats.memory.release(f"hist/{child.node_id}")
-                            if q is not None:
-                                new_pendings[slot] = q
-                    if remap:
-                        self._apply_remap(nid, remap, stats)
-                pendings = new_pendings
-                if cfg.prune == "public":
-                    pendings = self._public_pass(root, pendings)
-                level += 1
-                if ckpt is not None:
-                    with stats.phase("checkpoint"):
-                        ckpt.save(level, _loop_state(account, root, nid, pendings, next_slot), stats)
-
-        if ckpt is not None:
-            ckpt.clear()
-        return DecisionTree(root, schema)
-
-    def _refill_overflowed(
-        self,
-        table,
-        nid: np.ndarray,
-        overflowed: list[PendingSplit],
-        stats: BuildStats,
-        n: int,
-        engine: ScanEngine,
-    ) -> None:
-        """Re-collect dropped alive-interval records with one extra scan.
-
-        The CLOUDS-style degradation path: when a node's alive buffer
-        blew its memory budget during the level's scan, its records are
-        recoverable — alive records keep their parent's ``nid`` slot
-        (only preliminary-region records were reassigned).  One shared
-        pass (chunk-parallel like any other scan; worker sub-buffers
-        concatenate in chunk order) refills every overflowed buffer,
-        preserving the exact append order of the un-budgeted path, so
-        resolution — and the final tree — is unchanged; only the extra
-        scan is charged.
-        """
-        stats.buffer_overflow_rescans += 1
-        by_slot: dict[int, PendingSplit] = {}
-        for p in overflowed:
-            p.buffer = RecordBuffer()  # unbounded: contents fit by paper's premise
-            by_slot[p.parent_slot] = p
-
-        def route(chunk: ScanChunk, buffers: dict[int, RecordBuffer]) -> None:
-            slots = nid[chunk.start : chunk.stop]
-            for slot, buf in buffers.items():
-                mask = slots == slot
-                if mask.any():
-                    buf.append(chunk.X[mask], chunk.y[mask], chunk.rids[mask])
-
-        engine.scan(
-            table,
-            route=route,
-            live={slot: p.buffer for slot, p in by_slot.items()},
-            make_delta=lambda: {slot: RecordBuffer() for slot in by_slot},
-            merge_delta=lambda delta: [
-                by_slot[slot].buffer.extend_from(buf) for slot, buf in delta.items()
-            ],
-        )
-        stats.io.count_aux_read(n)
+    def _root_summary(
+        self, schema: Schema, root_edges: dict[int, np.ndarray], rng: np.random.Generator
+    ) -> PartState:
+        return PartState(0, schema.n_classes, make_part_hists(schema, root_edges))
 
     # -- scan-time routing ---------------------------------------------------
 
@@ -371,14 +172,14 @@ class CMPSBuilder(TreeBuilder):
     def _decide(
         self,
         node: Node,
-        slot: int,
-        hists: Hists,
+        part: PartState,
         next_slot: Callable[[], int],
         schema: Schema,
         stats: BuildStats,
     ) -> PendingSplit | None:
         """Pick the node's split (estimated or exact) or make it a leaf."""
         cfg = self.config
+        slot, hists = part.slot, part.hists
         if (
             node.n_records < cfg.min_records
             or node.gini <= cfg.min_gini
@@ -405,79 +206,45 @@ class CMPSBuilder(TreeBuilder):
         if min(cont_score, best_cat_gini) >= node.gini - cfg.min_gain:
             return None
 
-        child_edges = self._refined_edges(hists, cont, node.n_records)
         if best_cat is not None and best_cat_gini < cont_score:
             j, mask = best_cat
             split: Split = CategoricalSplit(j, tuple(bool(b) for b in mask))
-            return self._new_pending_exact(node, slot, split, child_edges, next_slot, schema, stats)
-
-        assert winner is not None
-        hist = hists[winner.attr]
-        assert isinstance(hist, ClassHistogram)
-        if not winner.alive:
+            p = PendingSplit(node=node, parent_slot=slot, exact_split=split)
+        elif winner is not None and not winner.alive:
             split = NumericSplit(
                 winner.attr,
                 float(winner.edges[winner.best_boundary]),
                 n_candidates=max(1, len(winner.edges)),
             )
-            return self._new_pending_exact(node, slot, split, child_edges, next_slot, schema, stats)
-
-        # Estimated split around the alive intervals.
-        q = hist.n_intervals
-        runs = merge_contiguous(winner.alive)
-        alive_bounds: list[tuple[float, float]] = []
-        alive_cum_below: list[np.ndarray] = []
-        for i0, i1 in runs:
-            lo = -np.inf if i0 == 0 else float(hist.edges[i0 - 1])
-            hi = np.inf if i1 == q - 1 else float(hist.edges[i1])
-            alive_bounds.append((lo, hi))
-            alive_cum_below.append(hist.cum_below(i0))
-        best_val = (
-            float(winner.edges[winner.best_boundary])
-            if winner.has_boundaries
-            else None
-        )
-        p = PendingSplit(
-            node=node,
-            parent_slot=slot,
-            child_edges=child_edges,
-            attr=winner.attr,
-            zone_bounds=zone_boundaries(alive_bounds),
-            alive_bounds=alive_bounds,
-            alive_cum_below=alive_cum_below,
-            totals=hist.totals(),
-            best_boundary_value=best_val,
-            best_boundary_gini=winner.gini_min,
-            buffer=RecordBuffer(budget_bytes=cfg.buffer_budget_bytes),
-        )
-        n_parts = len(alive_bounds) + 1
+            p = PendingSplit(node=node, parent_slot=slot, exact_split=split)
+        else:
+            # Estimated split around the alive intervals.
+            assert winner is not None
+            hist = hists[winner.attr]
+            assert isinstance(hist, ClassHistogram)
+            __, alive_bounds, alive_cum_below = alive_runs(hist, winner.alive)
+            p = PendingSplit(
+                node=node,
+                parent_slot=slot,
+                attr=winner.attr,
+                zone_bounds=zone_boundaries(alive_bounds),
+                alive_bounds=alive_bounds,
+                alive_cum_below=alive_cum_below,
+                totals=hist.totals(),
+                best_boundary_value=(
+                    float(winner.edges[winner.best_boundary])
+                    if winner.has_boundaries
+                    else None
+                ),
+                best_boundary_gini=winner.gini_min,
+                buffer=RecordBuffer(budget_bytes=cfg.buffer_budget_bytes),
+            )
+        child_edges = self._refined_edges(hists, cont, node.n_records)
+        n_parts = 2 if p.exact_split is not None else len(p.alive_bounds) + 1
         p.parts = [
             PartState(next_slot(), schema.n_classes, make_part_hists(schema, child_edges))
             for _ in range(n_parts)
         ]
-        stats.memory.allocate(
-            f"parts/{node.node_id}", sum(part.nbytes() for part in p.parts)
-        )
-        return p
-
-    def _new_pending_exact(
-        self,
-        node: Node,
-        slot: int,
-        split: Split,
-        child_edges: dict[int, np.ndarray],
-        next_slot: Callable[[], int],
-        schema: Schema,
-        stats: BuildStats,
-    ) -> PendingSplit:
-        p = PendingSplit(node=node, parent_slot=slot, child_edges=child_edges, exact_split=split)
-        p.parts = [
-            PartState(next_slot(), schema.n_classes, make_part_hists(schema, child_edges))
-            for _ in range(2)
-        ]
-        stats.memory.allocate(
-            f"parts/{node.node_id}", sum(part.nbytes() for part in p.parts)
-        )
         return p
 
     def _refined_edges(
@@ -505,115 +272,6 @@ class CMPSBuilder(TreeBuilder):
         account: TreeAccount,
         schema: Schema,
         stats: BuildStats,
-    ) -> list[tuple[Node, int, Hists]]:
+    ) -> list[tuple[Node, PartState]]:
         """Materialize a pending split; returns the children to decide on."""
-        node = p.node
-        if p.exact_split is not None:
-            lpart, rpart = p.parts
-            if lpart.class_counts.sum() == 0 or rpart.class_counts.sum() == 0:
-                # Degenerate in practice (can happen when the deciding
-                # histogram was approximate at the edges): keep as a leaf.
-                for part in p.parts:
-                    remap[part.slot] = p.parent_slot
-                return []
-            node.split = p.exact_split
-            left = account.new_node(node.depth + 1, lpart.class_counts)
-            right = account.new_node(node.depth + 1, rpart.class_counts)
-            node.left, node.right = left, right
-            return [
-                (left, lpart.slot, lpart.hists),
-                (right, rpart.slot, rpart.hists),
-            ]
-
-        Xb, yb, rids = p.buffer.concatenated()
-        buf_vals = Xb[:, p.attr] if len(yb) else np.empty(0)
-        res = resolve_exact_threshold(
-            p.totals,
-            p.best_boundary_value,
-            p.best_boundary_gini,
-            p.alive_bounds,
-            p.alive_cum_below,
-            buf_vals,
-            yb,
-        )
-        if res is None:
-            for part in p.parts:
-                remap[part.slot] = p.parent_slot
-            return []
-        if res.from_buffer:
-            stats.splits_resolved_exactly += 1
-        threshold = res.threshold
-
-        lslot, rslot = next_slot(), next_slot()
-        left_hists = make_part_hists(schema, p.child_edges)
-        right_hists = make_part_hists(schema, p.child_edges)
-        left_counts = np.zeros(schema.n_classes, dtype=np.float64)
-        right_counts = np.zeros(schema.n_classes, dtype=np.float64)
-        for part, (__, hi) in zip(p.parts, p.region_bounds()):
-            if hi <= threshold:
-                target_hists, target_slot = left_hists, lslot
-                left_counts += part.class_counts
-            else:
-                target_hists, target_slot = right_hists, rslot
-                right_counts += part.class_counts
-            for j, hist in part.hists.items():
-                target_hists[j].merge_from(hist)  # type: ignore[arg-type]
-            remap[part.slot] = target_slot
-
-        if len(yb):
-            goes_left = buf_vals <= threshold
-            for j in left_hists:
-                left_hists[j].update(Xb[goes_left][:, j], yb[goes_left])
-                right_hists[j].update(Xb[~goes_left][:, j], yb[~goes_left])
-            left_counts += np.bincount(yb[goes_left], minlength=schema.n_classes)
-            right_counts += np.bincount(yb[~goes_left], minlength=schema.n_classes)
-            nid[rids[goes_left]] = lslot
-            nid[rids[~goes_left]] = rslot
-
-        if left_counts.sum() == 0 or right_counts.sum() == 0:
-            # Defensive: candidate validation should prevent this.
-            for part in p.parts:
-                remap[part.slot] = p.parent_slot
-            remap[lslot] = p.parent_slot
-            remap[rslot] = p.parent_slot
-            return []
-
-        node.split = NumericSplit(p.attr, threshold, n_candidates=res.n_candidates)
-        left = account.new_node(node.depth + 1, left_counts)
-        right = account.new_node(node.depth + 1, right_counts)
-        node.left, node.right = left, right
-        return [(left, lslot, left_hists), (right, rslot, right_hists)]
-
-    # -- bookkeeping -----------------------------------------------------------
-
-    @staticmethod
-    def _charge_nid(stats: BuildStats, n: int) -> None:
-        """Charge the per-scan nid array swap (paper: kept on disk)."""
-        stats.io.count_aux_read(n)
-        stats.io.count_aux_write(n)
-
-    @staticmethod
-    def _apply_remap(nid: np.ndarray, remap: dict[int, int], stats: BuildStats) -> None:
-        max_slot = int(nid.max())
-        lookup = np.arange(max(max_slot + 1, max(remap) + 1), dtype=np.int64)
-        for src, dst in remap.items():
-            lookup[src] = dst
-        nid[:] = lookup[nid]
-
-    def _public_pass(
-        self, root: Node, pendings: dict[int, PendingSplit]
-    ) -> dict[int, PendingSplit]:
-        """Integrated PUBLIC(1) pruning between levels."""
-        from repro.pruning.public import public_prune_pass
-
-        open_ids = {p.node.node_id for p in pendings.values()}
-        removed = public_prune_pass(root, open_ids)
-        if not removed:
-            return pendings
-        return {
-            slot: p for slot, p in pendings.items() if p.node.node_id not in removed
-        }
-
-
-def _hists_nbytes(hists: Hists) -> int:
-    return sum(h.nbytes() for h in hists.values())
+        return resolve_single_level(p, nid, remap, next_slot, account, stats)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -10,6 +11,18 @@ import numpy as np
 from repro.core.gini import gini
 from repro.core.splits import CategoricalSplit, Split
 from repro.data.schema import Schema
+
+#: Source of structure generations; every draw is a fresh value.
+_GENERATIONS = itertools.count(1)
+#: Current structure generation, bumped by :meth:`Node.make_leaf` and
+#: :meth:`DecisionTree.invalidate_compiled`.  A tree reuses its compiled
+#: form only while the generation it was compiled at is still current.
+_generation = 0
+
+
+def _bump_generation() -> None:
+    global _generation
+    _generation = next(_GENERATIONS)
 
 
 @dataclass
@@ -88,6 +101,7 @@ class Node:
         self.split = None
         self.left = None
         self.right = None
+        _bump_generation()
 
 
 def _as_batch(X: np.ndarray) -> np.ndarray:
@@ -117,7 +131,7 @@ class DecisionTree:
         self.root = root
         self.schema = schema
         self._compiled = None
-        self._compiled_nodes = -1
+        self._compiled_generation = -1
         # Wire parent back-pointers (iteratively: chain trees deeper than
         # the recursion limit must construct fine).  Builders attach
         # children without setting parents; the finished tree fixes them
@@ -134,23 +148,24 @@ class DecisionTree:
     def compiled(self):
         """The tree's compiled form, rebuilt when the structure changed.
 
-        The cache key is the node count: pruning (the only in-repo
-        mutation of a finished tree) strictly shrinks the tree, so a
-        stale cache can always be detected.  Code that mutates nodes
-        without changing their count must call :meth:`invalidate_compiled`.
+        The cache key is the structure generation: :meth:`Node.make_leaf`
+        (pruning, the only in-repo mutation of a finished tree) bumps it,
+        so a stale cache is always detected without walking the nodes.
+        Code that mutates nodes any other way must call
+        :meth:`invalidate_compiled`.
         """
         from repro.core.compiled import compile_tree
 
-        n_nodes = self.n_nodes
-        if self._compiled is None or self._compiled_nodes != n_nodes:
+        generation = _generation
+        if self._compiled is None or self._compiled_generation != generation:
             self._compiled = compile_tree(self)
-            self._compiled_nodes = n_nodes
+            self._compiled_generation = generation
         return self._compiled
 
     def invalidate_compiled(self) -> None:
-        """Drop the compiled form (called by pruning after ``make_leaf``)."""
+        """Drop the compiled form and bump the structure generation."""
         self._compiled = None
-        self._compiled_nodes = -1
+        _bump_generation()
 
     def iter_nodes(self) -> Iterator[Node]:
         """Pre-order traversal of all nodes."""

@@ -30,9 +30,10 @@ harness — is that member ``t`` is **bit-identical** to::
     CMPSBuilder(cfg_t).build(dataset.take(np.sort(bootstrap_indices(config.seed, t, n))))
 
 while the shared loop reads the table once per level instead of ``T``
-times.  All split decisions and resolutions reuse the
-:class:`~repro.core.cmp_s.CMPSBuilder` methods verbatim through
-per-member helper instances, so the two code paths cannot drift apart.
+times.  Every member settles its level — resolve, decide, remap, PUBLIC
+pass — through a :class:`~repro.core.level_driver.LevelDriver` over a
+per-member :class:`~repro.core.cmp_s.CMPSBuilder`, the same step a solo
+build runs, so the two code paths cannot drift apart.
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ from repro.core import native_scan
 from repro.core.builder import (
     PartState,
     RecordBuffer,
+    charge_nid,
     classify_zones,
     make_part_hists,
 )
 from repro.core.checkpoint import SlotCounter
-from repro.core.cmp_s import CMPSBuilder, PendingSplit, _hists_nbytes
+from repro.core.cmp_s import CMPSBuilder, PendingSplit
+from repro.core.level_driver import LevelDriver
 from repro.core.parallel import ScanEngine
 from repro.core.tree import DecisionTree, TreeAccount
 from repro.data.dataset import Dataset
@@ -64,7 +67,7 @@ from repro.obs.trace import NULL_TRACER
 class _PrefixedLedger:
     """Namespaces one member's ledger keys inside the shared tracker.
 
-    ``CMPSBuilder._decide`` / ``_resolve`` allocate keys like
+    A member's level settling allocates keys like
     ``parts/{node_id}`` — node ids restart at zero for every member, so
     without a prefix the members would silently replace each other's
     allocations.
@@ -82,10 +85,10 @@ class _PrefixedLedger:
 
 
 class _MemberStats:
-    """The slice of :class:`BuildStats` the reused CMP-S helpers touch.
+    """The slice of :class:`BuildStats` a member's level settling touches.
 
     A full ``BuildStats`` per member would double-count wall clock and
-    I/O; the helpers only need a memory ledger and the exact-resolution
+    I/O; settling only needs a memory ledger and the exact-resolution
     counter, so that is all this facade carries.  The counter is folded
     into the shared stats by the caller.
     """
@@ -191,8 +194,6 @@ class BaggedForestBuilder:
         ]
         weights = [bootstrap_weights(cfg.seed, t, n) for t in range(T)]
         mstats = [_MemberStats(stats, t) for t in range(T)]
-        accounts = [TreeAccount() for _ in range(T)]
-        slot_counters = [SlotCounter() for _ in range(T)]
 
         # --- Scan 1 (shared): quantiling pass. ----------------------------
         # Solo scan 1 is serial (reservoir sampling consumes records in
@@ -252,13 +253,21 @@ class BaggedForestBuilder:
             for t in range(T)
         ]
         del reservoirs
-        roots = [accounts[t].new_node(0, totals[t].copy()) for t in range(T)]
 
         # Member t's record→slot map lives in column t; never-drawn
         # records stay -1 for the whole build.
         nid = np.full((n, T), -1, dtype=np.int64)
         for t in range(T):
             nid[weights[t] > 0, t] = 0
+        drivers = []
+        for t in range(T):
+            account = TreeAccount()
+            root = account.new_node(0, totals[t].copy())
+            drivers.append(
+                LevelDriver(
+                    helpers[t], schema, mstats[t], account, root, nid[:, t], SlotCounter()
+                )
+            )
 
         # --- Scan 2 (shared): root histograms. ----------------------------
         root_parts = [
@@ -286,14 +295,12 @@ class BaggedForestBuilder:
                 memory=stats.memory,
                 delta_nbytes=sum(p.nbytes() for p in root_parts),
             )
-        CMPSBuilder._charge_nid(stats, n * T)
+        charge_nid(stats, n * T)
 
         pendings: list[dict[int, PendingSplit]] = [{} for _ in range(T)]
         with stats.phase("resolve"):
             for t in range(T):
-                first = helpers[t]._decide(
-                    roots[t], 0, root_parts[t].hists, slot_counters[t], schema, mstats[t]
-                )
+                first = drivers[t].decide(drivers[t].root, root_parts[t])
                 mstats[t].memory.release("hist/root")
                 if first is not None:
                     pendings[t][0] = first
@@ -332,13 +339,9 @@ class BaggedForestBuilder:
                         ),
                         writeback=nid,
                     )
-                CMPSBuilder._charge_nid(stats, n * len(live))
+                charge_nid(stats, n * len(live))
                 overflowed = {
-                    t: [
-                        p
-                        for p in d.values()
-                        if p.is_estimated and p.buffer.overflowed
-                    ]
+                    t: [p for p in d.values() if p.buffer.overflowed]
                     for t, d in live.items()
                 }
                 overflowed = {t: ps for t, ps in overflowed.items() if ps}
@@ -348,51 +351,17 @@ class BaggedForestBuilder:
                             table, nid, weights, overflowed, stats, n, engine
                         )
                 for t, d in live.items():
-                    for p in d.values():
-                        mstats[t].memory.allocate(
-                            f"buf/{p.node.node_id}", p.buffer.nbytes()
-                        )
+                    drivers[t].charge_buffers(d)
 
                 with stats.phase("resolve"):
                     for t in sorted(live):
-                        nid_col = nid[:, t]
-                        new_pendings: dict[int, PendingSplit] = {}
-                        remap: dict[int, int] = {}
-                        for p in live[t].values():
-                            children = helpers[t]._resolve(
-                                p,
-                                nid_col,
-                                remap,
-                                slot_counters[t],
-                                accounts[t],
-                                schema,
-                                mstats[t],
-                            )
-                            mstats[t].memory.release(f"parts/{p.node.node_id}")
-                            mstats[t].memory.release(f"buf/{p.node.node_id}")
-                            for child, slot, hists in children:
-                                mstats[t].memory.allocate(
-                                    f"hist/{child.node_id}", _hists_nbytes(hists)
-                                )
-                                q = helpers[t]._decide(
-                                    child, slot, hists, slot_counters[t], schema, mstats[t]
-                                )
-                                mstats[t].memory.release(f"hist/{child.node_id}")
-                                if q is not None:
-                                    new_pendings[slot] = q
-                        if remap:
-                            self._apply_member_remap(nid_col, remap)
-                        pendings[t] = new_pendings
-                        if cfg.prune == "public":
-                            pendings[t] = helpers[t]._public_pass(
-                                roots[t], pendings[t]
-                            )
+                        pendings[t] = drivers[t].settle(live[t])
                 level += 1
 
         stats.splits_resolved_exactly += sum(
             ms.splits_resolved_exactly for ms in mstats
         )
-        return [DecisionTree(root, schema) for root in roots]
+        return [DecisionTree(d.root, schema) for d in drivers]
 
     # -- scan-time routing ----------------------------------------------------
 
@@ -455,7 +424,7 @@ class BaggedForestBuilder:
     ) -> None:
         """Re-collect dropped alive-interval buffers with one extra scan.
 
-        Same degradation path as ``CMPSBuilder._refill_overflowed`` —
+        Same degradation path as a solo build's refill scan —
         alive records keep their parent slot, so one shared pass refills
         every overflowed member buffer in the exact append order of the
         un-budgeted path (expanded rows, ascending record order).
@@ -488,20 +457,6 @@ class BaggedForestBuilder:
             ],
         )
         stats.io.count_aux_read(n * len(overflowed))
-
-    @staticmethod
-    def _apply_member_remap(nid_col: np.ndarray, remap: dict[int, int]) -> None:
-        """Slot remap for one member column, preserving the ``-1`` sentinel.
-
-        ``CMPSBuilder._apply_remap`` gathers ``lookup[nid]``, which would
-        send ``-1`` to the table's last entry; shifting the lookup by one
-        keeps never-drawn records parked at ``-1``.
-        """
-        upper = max(int(nid_col.max()), max(remap))
-        lookup = np.arange(-1, upper + 1, dtype=np.int64)
-        for src, dst in remap.items():
-            lookup[src + 1] = dst
-        nid_col[:] = lookup[nid_col + 1]
 
 
 __all__ = ["BaggedForestBuilder"]

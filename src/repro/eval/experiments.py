@@ -24,8 +24,7 @@ from repro.core.cmp_s import CMPSBuilder
 from repro.core.gini import exact_best_threshold
 from repro.core.histogram import CategoryHistogram, ClassHistogram
 from repro.core.intervals import analyze_attribute, choose_split_attribute
-from repro.core.builder import resolve_exact_threshold
-from repro.core.cmp_s import merge_contiguous
+from repro.core.builder import alive_runs, resolve_exact_threshold
 from repro.data.dataset import Dataset
 from repro.data.discretize import equal_depth_edges
 from repro.data.statlog import STATLOG_SPECS, generate_statlog
@@ -109,15 +108,7 @@ def _cmp_root_split(
     if winner is None:
         return -1, np.inf, 0
     hist = hists[winner.attr]
-    runs = merge_contiguous(winner.alive)
-    alive_bounds: list[tuple[float, float]] = []
-    alive_cum_below: list[np.ndarray] = []
-    q = hist.n_intervals
-    for i0, i1 in runs:
-        lo = -np.inf if i0 == 0 else float(hist.edges[i0 - 1])
-        hi = np.inf if i1 == q - 1 else float(hist.edges[i1])
-        alive_bounds.append((lo, hi))
-        alive_cum_below.append(hist.cum_below(i0))
+    __, alive_bounds, alive_cum_below = alive_runs(hist, winner.alive)
     col = dataset.column(winner.attr)
     in_alive = np.zeros(dataset.n_records, dtype=bool)
     for lo, hi in alive_bounds:

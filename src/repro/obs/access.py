@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import deque
 from dataclasses import asdict, dataclass
 from typing import IO, Iterator
 
@@ -141,7 +142,7 @@ class AccessLog:
             raise ValueError("capacity must be at least 1")
         self.metrics = metrics
         self.capacity = capacity
-        self._records: list[AccessRecord] = []
+        self._records: deque[AccessRecord] = deque(maxlen=capacity)
         self._dropped = 0
         self._lock = threading.Lock()
 
@@ -182,11 +183,9 @@ class AccessLog:
             route_key=route_key,
         )
         with self._lock:
+            if len(self._records) == self.capacity:
+                self._dropped += 1
             self._records.append(rec)
-            if self.capacity is not None and len(self._records) > self.capacity:
-                drop = len(self._records) - self.capacity
-                del self._records[:drop]
-                self._dropped += drop
         if self.metrics is not None:
             self._emit_red(rec)
         return rec

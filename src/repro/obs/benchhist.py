@@ -40,7 +40,9 @@ from typing import Iterable, Mapping
 HISTORY_VERSION = 1
 
 #: Name-pattern ladder for direction inference.  First match wins;
-#: substrings are matched against the lower-cased dotted metric path.
+#: substrings are matched against the lower-cased dotted metric path,
+#: and between the two ladders a ``_s``/``_us`` suffix (a duration)
+#: means lower is better unless it is a ``per_s`` rate.
 _LOWER_IS_BETTER = (
     "seconds",
     "latency",
@@ -51,6 +53,8 @@ _LOWER_IS_BETTER = (
     "p99",
     "wall",
     "bytes",
+    "scans",
+    "failed_frac",
 )
 _HIGHER_IS_BETTER = (
     "per_s",
@@ -59,6 +63,8 @@ _HIGHER_IS_BETTER = (
     "speedup",
     "accuracy",
     "compliance",
+    "rps",
+    "goodput",
 )
 
 
@@ -73,6 +79,8 @@ def metric_direction(path: str) -> str | None:
     for pattern in _LOWER_IS_BETTER:
         if pattern in lowered:
             return "lower"
+    if lowered.endswith(("_s", "_us")) and not lowered.endswith("per_s"):
+        return "lower"
     for pattern in _HIGHER_IS_BETTER:
         if pattern in lowered:
             return "higher"

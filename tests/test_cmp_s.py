@@ -5,7 +5,8 @@ import pytest
 
 from repro.baselines.sprint import SprintBuilder
 from repro.config import BuilderConfig
-from repro.core.cmp_s import CMPSBuilder, merge_contiguous
+from repro.core.builder import merge_contiguous
+from repro.core.cmp_s import CMPSBuilder
 from repro.core.splits import NumericSplit
 from repro.eval.metrics import accuracy
 

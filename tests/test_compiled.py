@@ -202,3 +202,23 @@ class TestCompiledCache:
         first = t.compiled()
         t.invalidate_compiled()
         assert t.compiled() is not first
+
+    def test_make_leaf_alone_refreshes(self):
+        t = random_tree(depth=5, seed=33)
+        before = t.compiled()
+        inner = next(n for n in t.iter_nodes() if n is not t.root and not n.is_leaf)
+        inner.make_leaf()
+        after = t.compiled()
+        assert after is not before
+        assert after.n_nodes == t.n_nodes
+        assert after.fingerprint == tree_fingerprint(t)
+
+    def test_unchanged_tree_skips_node_walk(self, monkeypatch):
+        t = random_tree(depth=4, seed=34)
+        first = t.compiled()
+
+        def no_walk():
+            raise AssertionError("compiled() walked the nodes")
+
+        monkeypatch.setattr(t, "iter_nodes", no_walk)
+        assert t.compiled() is first

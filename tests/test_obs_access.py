@@ -101,8 +101,10 @@ class TestRecordSchema:
             load_access_log(buf)
 
     def test_capacity_evicts_oldest(self):
-        log = AccessLog(capacity=2)
-        for i in range(3):
+        capacity = 2
+        log = AccessLog(capacity=capacity)
+
+        def record(i):
             log.record(
                 source="engine",
                 endpoint=str(i),
@@ -113,9 +115,17 @@ class TestRecordSchema:
                 outcome="ok",
                 latency_s=0.0,
             )
+
+        for i in range(3):
+            record(i)
         assert len(log) == 2
         assert log.dropped == 1
         assert [r.endpoint for r in log.records()] == ["1", "2"]
+        for i in range(3, 10 * capacity):
+            record(i)
+        assert len(log) == capacity
+        assert log.dropped == 9 * capacity
+        assert [r.endpoint for r in log.records()] == ["18", "19"]
 
 
 class TestEngineOutcomes:

@@ -8,6 +8,7 @@ median baseline, and the ``cmp-repro bench-history`` exit codes.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,8 @@ from repro.obs.benchhist import (
     save_history,
     summarize_history,
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _artifact(tmp_path, name, payload):
@@ -99,6 +102,29 @@ class TestDirection:
         # "seconds" (lower) appears before any higher-is-better pattern
         # would match: a path carrying both resolves to the first ladder.
         assert metric_direction("speedup_seconds") == "lower"
+
+    @pytest.mark.parametrize(
+        "path,expected",
+        [
+            ("build_s", "lower"),
+            ("setup_s", "lower"),
+            ("scans", "lower"),
+            ("tree_predict_1row_us", "lower"),
+            ("serve_max_rps", "higher"),
+            ("serve_failed_frac", "lower"),
+            ("batch_rows_per_s", "higher"),
+        ],
+    )
+    def test_ledger_names_are_gated(self, path, expected):
+        assert metric_direction(path) == expected
+
+    def test_agrees_with_benchmark_declaration(self):
+        declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        for metric in declared["end_to_end"]:
+            assert metric_direction(metric["name"]) == metric["better"], metric
+        for metric in declared["per_layer"]:
+            direction = metric_direction(metric["name"])
+            assert direction in (None, metric["better"]), metric
 
 
 class TestHistoryIO:
