@@ -4,7 +4,9 @@ Standalone script (not a pytest benchmark): builds each CMP-family
 classifier serially, with ``--workers`` thread workers, and with
 ``--workers`` forked process workers; verifies every tree (including a
 kernel-disabled rebuild) is bit-identical; times the native gini-sweep
-kernel against the numpy sweep; and emits ``BENCH_scan.json``.  CI runs
+kernel against the numpy sweep; and emits ``BENCH_scan.json`` (with each
+builder's native kernel-call count, the dispatch figure grouped routing
+cuts).  CI runs
 it as a perf gate and uploads the JSON artifact::
 
     PYTHONPATH=src python benchmarks/bench_scan_parallel.py \
@@ -161,6 +163,9 @@ def run(records: int, workers: int, function: str, seed: int, repeats: int) -> d
         ok &= identical
         entry = {
             "bit_identical": identical,
+            # Serial-build native dispatches: grouped routing makes one
+            # call per (attribute, chunk), not one per (part, attribute).
+            "native_kernel_calls": serial["native_kernel_calls"],
             "serial": serial,
             "thread": threaded,
             "process": process,
@@ -182,7 +187,8 @@ def run(records: int, workers: int, function: str, seed: int, repeats: int) -> d
             f"thread={threaded['wall_seconds_min']:.3f}s "
             f"(x{entry['thread_wall_speedup']:.2f}) "
             f"process={process['wall_seconds_min']:.3f}s "
-            f"(x{entry['process_wall_speedup']:.2f})"
+            f"(x{entry['process_wall_speedup']:.2f}) "
+            f"kernel_calls={entry['native_kernel_calls']}"
         )
     report["all_bit_identical"] = ok
     report["sweep_microbenchmark"] = sweep = sweep_microbenchmark(repeats)

@@ -217,6 +217,112 @@ class PartState:
             hist.merge_from(other.hists[j])
 
 
+def group_rows(keys: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group row indices by key in ``[-1, n_groups)`` with one stable sort.
+
+    Returns ``(order, bounds)`` — a counting sort's result: the rows keyed
+    ``g`` are
+    ``order[bounds[g]:bounds[g + 1]]``, in their original order.  Rows
+    keyed ``-1`` belong to no group.
+    """
+    bounds = np.cumsum(np.bincount(keys + 1, minlength=n_groups + 1))
+    return np.argsort(keys, kind="stable"), bounds
+
+
+class SlotGroups:
+    """Groups a chunk's rows by their ``nid`` slot (SLIQ's class list).
+
+    ``slots`` are the open nodes' slots; row ``r`` of a chunk belongs to
+    group ``slots.index(nid[r])``, or to none.
+    """
+
+    def __init__(self, slots: list[int]) -> None:
+        self.n_groups = len(slots)
+        # One entry past the largest slot maps every larger slot (and a
+        # -1 slot) to "no group".
+        self._index = np.full(max(slots, default=-1) + 2, -1, dtype=np.int64)
+        self._index[slots] = np.arange(len(slots))
+
+    def group(self, nid_slice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`group_rows` of a chunk's ``nid`` slice."""
+        keys = self._index[np.minimum(nid_slice, len(self._index) - 1)]
+        return group_rows(keys, self.n_groups)
+
+
+class PartGroup:
+    """The parts of one scan target, accumulated in one pass per attribute.
+
+    Row ``r`` of a batch belongs to ``parts[dest[r]]``; rows with a
+    negative ``dest`` belong to none.  Pointer tables over every part's
+    histograms are built once, here, so a batch costs one native call per
+    attribute however many parts it feeds.  Each part receives its rows
+    in batch order, so the counts and extrema are bit-identical to
+    calling :meth:`PartState.update` per part — which is exactly what
+    the numpy fallback does.
+    """
+
+    def __init__(self, parts: list[PartState]) -> None:
+        self.parts = parts
+        self.slots = np.array([p.slot for p in parts], dtype=np.int64)
+        #: attribute -> (grouped kernel, its pointer table over the parts)
+        self.tables: dict[int, tuple[Callable[..., bool], Any]] = {}
+        for j, hist in (parts[0].hists.items() if parts else ()):
+            hists = [p.hists[j] for p in parts]
+            if isinstance(hist, ClassHistogram):
+                self.tables[j] = (
+                    native_scan.hist_accum_grouped,
+                    native_scan.part_table(
+                        [h.counts for h in hists],
+                        [h.edges for h in hists],  # type: ignore[union-attr]
+                        [h.vmin for h in hists],  # type: ignore[union-attr]
+                        [h.vmax for h in hists],  # type: ignore[union-attr]
+                    ),
+                )
+            else:
+                self.tables[j] = (
+                    native_scan.cat_accum_grouped,
+                    native_scan.part_table([h.counts for h in hists]),
+                )
+
+    def update(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        dest: np.ndarray,
+        weights: np.ndarray | None = None,
+    ) -> None:
+        """Add each row of ``(X, y)`` to part ``dest[r]`` (int64).
+
+        Labels must lie in ``range(n_classes)``; ``weights`` follow
+        :meth:`PartState.update`.
+        """
+        if not self.parts:
+            return
+        c = self.parts[0].n_classes
+        routed = dest >= 0
+        class_counts = np.bincount(
+            dest[routed] * c + y[routed],
+            weights=None if weights is None else weights[routed],
+            minlength=len(self.parts) * c,
+        ).reshape(len(self.parts), c)
+        for k in np.flatnonzero(class_counts.any(axis=1)):
+            self.parts[k].class_counts += class_counts[k]
+        fallback = []
+        for j, (accum, table) in self.tables.items():
+            if not accum(X[:, j], y, dest, table, weights):
+                fallback.append(j)
+        if not fallback:
+            return
+        order, bounds = group_rows(np.where(routed, dest, -1), len(self.parts))
+        for k, part in enumerate(self.parts):
+            rows = order[bounds[k] : bounds[k + 1]]
+            if len(rows) == 0:
+                continue
+            w = None if weights is None else weights[rows]
+            for j in fallback:
+                part.hists[j].update(X[rows, j], y[rows], w)
+
+
 def make_part_hists(
     schema: Schema, child_edges: dict[int, np.ndarray]
 ) -> dict[int, ClassHistogram | CategoryHistogram]:
@@ -576,8 +682,14 @@ def resolve_single_level(
             remap[part.slot] = target.slot
         if len(yb):
             goes_left = buf_vals <= res.threshold
-            left.update(Xb[goes_left], yb[goes_left])
-            right.update(Xb[~goes_left], yb[~goes_left])
+            # Histogram parts (CMP-S) take the grouped update; CMP-B's
+            # matrix parts update one by one.
+            if isinstance(left, PartState):
+                dest = np.where(goes_left, 0, 1).astype(np.int64)
+                PartGroup([left, right]).update(Xb, yb, dest)
+            else:
+                left.update(Xb[goes_left], yb[goes_left])
+                right.update(Xb[~goes_left], yb[~goes_left])
             nid[rids[goes_left]] = left.slot
             nid[rids[~goes_left]] = right.slot
 
@@ -596,6 +708,8 @@ __all__ = [
     "BuildResult",
     "TreeBuilder",
     "PartState",
+    "PartGroup",
+    "SlotGroups",
     "RecordBuffer",
     "ResolvedThreshold",
     "alive_runs",
@@ -605,6 +719,7 @@ __all__ = [
     "merge_contiguous",
     "zone_boundaries",
     "classify_zones",
+    "group_rows",
     "resolve_exact_threshold",
     "resolve_single_level",
     "TreeAccount",

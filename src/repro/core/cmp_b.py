@@ -53,7 +53,7 @@ from repro.core.gini import gini, gini_partition
 from repro.core.histogram import ClassHistogram
 from repro.core.intervals import (
     AttributeAnalysis,
-    analyze_attribute,
+    analyze_attributes,
     choose_split_attribute,
     select_alive_intervals,
 )
@@ -386,9 +386,11 @@ class CMPBBuilder(TreeBuilder):
             or node.depth >= cfg.max_depth
         ):
             return None
-        x_analysis = analyze_attribute(mset.x_attr, mset.x_marginal())
-        y_analyses = [analyze_attribute(j, mset.y_marginal(j)) for j in mset.matrices]
-        analyses = [x_analysis] + y_analyses
+        node_hists: dict[int, ClassHistogram] = {mset.x_attr: mset.x_marginal()}
+        for j in mset.matrices:
+            node_hists[j] = mset.y_marginal(j)
+        analyses = analyze_attributes(node_hists.items())
+        x_analysis = analyses[0]
         winner = choose_split_attribute(analyses, cfg.max_alive)
         if (
             winner is not None
@@ -427,9 +429,6 @@ class CMPBBuilder(TreeBuilder):
                 stats.predictions_correct += 1
 
         parent_scores = {a.attr: a.score for a in analyses if np.isfinite(a.score)}
-        node_hists: dict[int, ClassHistogram] = {mset.x_attr: mset.x_marginal()}
-        for j in mset.matrices:
-            node_hists[j] = mset.y_marginal(j)
 
         # Full CMP hook: try a linear-combination split when univariate
         # splits look poor (overridden by CMPBuilder; returns None here).
@@ -610,7 +609,7 @@ class CMPBBuilder(TreeBuilder):
             and side_gini > cfg.min_gini
             and node.depth + 1 < cfg.max_depth
         ):
-            analyses = [analyze_attribute(j, h) for j, h in side_hists.items()]
+            analyses = analyze_attributes(side_hists.items())
             exact_scores = {a.attr: a.score for a in analyses if np.isfinite(a.score)}
             if allow_second:
                 side_winner = choose_split_attribute(analyses, self.SECOND_MAX_ALIVE)

@@ -39,8 +39,10 @@ from typing import Callable
 import numpy as np
 
 from repro.core.builder import (
+    PartGroup,
     PartState,
     RecordBuffer,
+    SlotGroups,
     TreeBuilder,
     adaptive_intervals,
     alive_runs,
@@ -50,8 +52,8 @@ from repro.core.builder import (
     zone_boundaries,
 )
 from repro.core.histogram import CategoryHistogram, ClassHistogram
-from repro.core.intervals import analyze_attribute, choose_split_attribute
-from repro.core.level_driver import LevelDriver
+from repro.core.intervals import analyze_attributes, choose_split_attribute
+from repro.core.level_driver import LevelDriver, ScanTarget
 from repro.core.splits import CategoricalSplit, NumericSplit, Split
 from repro.core.tree import DecisionTree, Node, TreeAccount
 from repro.data.dataset import Dataset
@@ -120,6 +122,67 @@ class PendingSplit:
         return self.buffer.nbytes()
 
 
+class _RoutePlan:
+    """What routing derives from one scan target's structure, once.
+
+    The target's pendings in order, a slot→pending index, each pending's
+    first part, and a :class:`PartGroup` over all their parts.
+    """
+
+    def __init__(self, pendings: ScanTarget) -> None:
+        self.pendings: list[PendingSplit] = list(pendings.values())
+        self.slots = SlotGroups(list(pendings))
+        self.base: list[int] = []
+        parts: list[PartState] = []
+        for p in self.pendings:
+            self.base.append(len(parts))
+            parts.extend(p.parts)
+        self.parts = PartGroup(parts)
+
+
+def route_grouped(
+    target: ScanTarget,
+    chunk: ScanChunk,
+    slots: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> None:
+    """Route a chunk into every pending of ``target`` in one grouped pass.
+
+    ``slots`` is the chunk's ``nid`` slice, rewritten in place.  One
+    stable counting sort groups the rows by pending; each pending maps
+    its run to a destination part, or to its alive buffer, which
+    therefore fills in chunk order; then one :meth:`PartGroup.update`
+    accumulates every part.  ``weights`` are per-record multiplicities (a
+    bagged forest member's draw counts): parts add them, and a weighted
+    alive record is buffered ``weight`` times.
+    """
+    plan = target.plan
+    if plan is None:
+        plan = target.plan = _RoutePlan(target)
+    order, bounds = plan.slots.group(slots)
+    dest = np.full(len(slots), -1, dtype=np.int64)
+    X, y = chunk.X, chunk.y
+    for i, p in enumerate(plan.pendings):
+        rows = order[bounds[i] : bounds[i + 1]]
+        if len(rows) == 0:
+            continue
+        base = plan.base[i]
+        if p.exact_split is not None:
+            dest[rows] = np.where(p.exact_split.goes_left(X[rows]), base, base + 1)
+            continue
+        zones = classify_zones(X[rows, p.attr], p.zone_bounds)
+        alive = (zones & 1) == 1
+        if alive.any():
+            kept = rows[alive]
+            if weights is not None:
+                kept = np.repeat(kept, weights[kept].astype(np.int64))
+            p.buffer.append(X[kept], y[kept], chunk.start + kept)
+        dest[rows] = np.where(alive, -1, base + (zones >> 1))
+    plan.parts.update(X, y, dest, weights)
+    routed = dest >= 0
+    slots[routed] = plan.parts.slots[dest[routed]]
+
+
 class CMPSBuilder(TreeBuilder):
     """The CMP-S classifier."""
 
@@ -140,32 +203,9 @@ class CMPSBuilder(TreeBuilder):
         self,
         chunk: ScanChunk,
         nid: np.ndarray,
-        pendings: dict[int, PendingSplit],
+        pendings: ScanTarget,
     ) -> None:
-        slots = nid[chunk.start : chunk.stop]
-        for slot, p in pendings.items():
-            mask = slots == slot
-            if not mask.any():
-                continue
-            X = chunk.X[mask]
-            y = chunk.y[mask]
-            rids = chunk.rids[mask]
-            if p.exact_split is not None:
-                left = p.exact_split.goes_left(X)
-                p.parts[0].update(X[left], y[left])
-                p.parts[1].update(X[~left], y[~left])
-                nid[rids[left]] = p.parts[0].slot
-                nid[rids[~left]] = p.parts[1].slot
-                continue
-            zones = classify_zones(X[:, p.attr], p.zone_bounds)
-            alive = (zones & 1) == 1
-            if alive.any():
-                p.buffer.append(X[alive], y[alive], rids[alive])
-            for r, part in enumerate(p.parts):
-                m = zones == 2 * r
-                if m.any():
-                    part.update(X[m], y[m])
-                    nid[rids[m]] = part.slot
+        route_grouped(pendings, chunk, nid[chunk.start : chunk.stop])
 
     # -- decisions (Figure 4, lines 15-19) ------------------------------------
 
@@ -187,7 +227,7 @@ class CMPSBuilder(TreeBuilder):
         ):
             return None
         cont = schema.continuous_indices()
-        analyses = [analyze_attribute(j, hists[j]) for j in cont]  # type: ignore[arg-type]
+        analyses = analyze_attributes((j, hists[j]) for j in cont)  # type: ignore[misc]
         winner = choose_split_attribute(analyses, cfg.max_alive)
         cont_score = winner.score if winner is not None else np.inf
 

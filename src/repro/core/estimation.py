@@ -105,18 +105,20 @@ def gini_gradient(x: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return first - second
 
 
-def _probe_ginis(x: np.ndarray, jump: np.ndarray, totals: np.ndarray) -> np.ndarray:
+def _probe_ginis(
+    x: np.ndarray, jump: np.ndarray, totals: np.ndarray, n: np.ndarray | float
+) -> np.ndarray:
     """Partition gini after hypothetically applying each class's full jump.
 
     ``x`` is ``(q, c)`` current cumulative counts, ``jump`` the ``(q, c)``
     signed count deltas (one candidate class jump per column), ``totals``
-    the ``(c,)`` class totals.  Returns ``(q, c)`` ginis; entries with a
-    zero jump are ``+inf``.
+    the class totals (``(c,)`` or one ``(q, c)`` row per point) and ``n``
+    their sum (scalar or ``(q, 1)``).  Returns ``(q, c)`` ginis; entries
+    with a zero jump are ``+inf``.
     """
-    n = totals.sum()
     sx = x.sum(axis=1, keepdims=True)
     sx2 = (x**2).sum(axis=1, keepdims=True)
-    rtot = totals[None, :] - x
+    rtot = totals - x
     sr2 = (rtot**2).sum(axis=1, keepdims=True)
 
     nl = sx + jump
@@ -130,15 +132,18 @@ def _probe_ginis(x: np.ndarray, jump: np.ndarray, totals: np.ndarray) -> np.ndar
     return np.where(jump != 0.0, g, np.inf)
 
 
-def _gradient_rows(x: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Equation 4 evaluated row-wise for ``(q, c)`` points at once."""
-    n = totals.sum()
+def _gradient_rows(x: np.ndarray, totals: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Equation 4 evaluated row-wise for ``(q, c)`` points at once.
+
+    ``totals`` holds each row's class totals and ``n`` (``(q, 1)``) their
+    sum.
+    """
     nl = x.sum(axis=1, keepdims=True)
     nr = n - nl
     with np.errstate(divide="ignore", invalid="ignore"):
-        first = 2.0 / np.maximum(nl * nr, 1.0) * (totals[None, :] * nl / n - x)
+        first = 2.0 / np.maximum(nl * nr, 1.0) * (totals * nl / n - x)
         second = (1.0 / n) * (
-            ((totals[None, :] - x) ** 2).sum(axis=1, keepdims=True)
+            ((totals - x) ** 2).sum(axis=1, keepdims=True)
             / np.maximum(nr, 1.0) ** 2
             - (x**2).sum(axis=1, keepdims=True) / np.maximum(nl, 1.0) ** 2
         )
@@ -188,7 +193,7 @@ def interval_estimate(
                 score = direction * gini_gradient(x, totals)
                 score = np.where(remaining > 0, score, np.inf)
             else:
-                score = _probe_ginis(x[None, :], jump[None, :], totals)[0]
+                score = _probe_ginis(x[None, :], jump[None, :], totals, n)[0]
             i = int(np.argmin(score))
             x[i] += direction * remaining[i]
             remaining[i] = 0.0
@@ -199,50 +204,66 @@ def interval_estimate(
 def interval_estimates(
     hist: np.ndarray, atomic: np.ndarray | None = None
 ) -> np.ndarray:
-    """Estimates for every interval of a histogram, vectorized.
+    """Estimates for every interval of one or many histograms, vectorized.
 
-    ``hist`` is ``(q, c)`` class counts per interval; ``atomic`` an
-    optional ``(q,)`` boolean mask of single-distinct-value intervals.
-    Returns ``(q,)`` estimates.  All intervals climb in lockstep, so the
-    cost is ``O(c)`` vectorized steps per direction regardless of ``q``.
+    ``hist`` is ``(q, c)`` class counts per interval, or a stacked
+    ``(a, q, c)`` block of ``a`` histograms — each zero-padded to the
+    largest ``q`` and climbing against its own class totals.  ``atomic``
+    is an optional ``(q,)`` / ``(a, q)`` boolean mask of
+    single-distinct-value intervals.  Returns ``(q,)`` / ``(a, q)``
+    estimates; a padded interval's entry is meaningless.  Every row
+    climbs in lockstep, independently of the others, so a stacked call
+    equals one call per histogram bit for bit, and the cost is ``O(c)``
+    vectorized steps per direction regardless of ``a`` and ``q``.
     """
     hist = np.asarray(hist, dtype=np.float64)
-    if hist.ndim != 2:
-        raise ValueError("hist must be (intervals, classes)")
-    q, c = hist.shape
-    totals = hist.sum(axis=0)
-    n = totals.sum()
-    cum = np.cumsum(hist, axis=0)
-    cum_left = np.vstack([np.zeros((1, c)), cum[:-1]])
-    g_left = np.asarray(gini_partition(cum_left, totals[None, :] - cum_left))
-    g_right = np.asarray(gini_partition(cum, totals[None, :] - cum))
+    if hist.ndim not in (2, 3):
+        raise ValueError(
+            "hist must be (intervals, classes) or (attributes, intervals, classes)"
+        )
+    shape = hist.shape[:-1]
+    stack = hist.reshape((-1,) + hist.shape[-2:])
+    a, q, c = stack.shape
+    totals = stack.sum(axis=1)
+    cum = np.cumsum(stack, axis=1)
+    cum_left = np.concatenate([np.zeros((a, 1, c)), cum[:, :-1]], axis=1)
+    # One row per (histogram, interval), each carrying its own totals.
+    cum = cum.reshape(a * q, c)
+    cum_left = cum_left.reshape(a * q, c)
+    counts = stack.reshape(a * q, c)
+    row_totals = np.repeat(totals, q, axis=0)
+    n = np.repeat(totals.sum(axis=1), q)[:, None]
+    g_left = np.asarray(gini_partition(cum_left, row_totals - cum_left))
+    g_right = np.asarray(gini_partition(cum, row_totals - cum))
     best = np.minimum(g_left, g_right)
 
-    climbable = hist.sum(axis=1) > 0
+    climbable = counts.sum(axis=1) > 0
     if atomic is not None:
-        climbable &= ~np.asarray(atomic, dtype=bool)
+        climbable &= ~np.asarray(atomic, dtype=bool).reshape(a * q)
 
     for direction, start in ((+1, cum_left), (-1, cum)):
         x = start.copy()
-        remaining = np.where(climbable[:, None], hist, 0.0)
+        remaining = np.where(climbable[:, None], counts, 0.0)
+        # Rows still climbing; a row that runs out of records never resumes.
+        rows = np.flatnonzero(climbable)
         for _ in range(c):
-            active = remaining.sum(axis=1) > 0
-            if not active.any():
+            rows = rows[remaining[rows].sum(axis=1) > 0]
+            if len(rows) == 0:
                 break
-            nl = x.sum(axis=1)
-            nondeg = (nl > 0) & (nl < n)
-            grad_score = direction * _gradient_rows(x, totals)
-            grad_score = np.where(remaining > 0, grad_score, np.inf)
-            probe = _probe_ginis(x, direction * remaining, totals)
-            choice = np.where(
+            xr, rem, tot, nr = x[rows], remaining[rows], row_totals[rows], n[rows]
+            nl = xr.sum(axis=1)
+            nondeg = (nl > 0) & (nl < nr[:, 0])
+            grad_score = direction * _gradient_rows(xr, tot, nr)
+            grad_score = np.where(rem > 0, grad_score, np.inf)
+            probe = _probe_ginis(xr, direction * rem, tot, nr)
+            cols = np.where(
                 nondeg,
                 np.argmin(grad_score, axis=1),
                 np.argmin(probe, axis=1),
             )
-            rows = np.nonzero(active)[0]
-            cols = choice[rows]
             x[rows, cols] += direction * remaining[rows, cols]
             remaining[rows, cols] = 0.0
-            g = np.asarray(gini_partition(x, totals[None, :] - x))
-            best[rows] = np.minimum(best[rows], g[rows])
-    return best
+            xr = x[rows]
+            g = np.asarray(gini_partition(xr, tot - xr))
+            best[rows] = np.minimum(best[rows], g)
+    return best.reshape(shape)

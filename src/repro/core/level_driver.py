@@ -23,6 +23,8 @@ A builder supplies four strategy seams:
 
 * ``_root_summary(schema, root_edges, rng)`` — the empty root part;
 * ``_route_chunk(chunk, nid, pendings)`` — scan-time routing of a chunk;
+  ``pendings`` is a :class:`ScanTarget` (the live pendings or one
+  worker's delta) whose ``plan`` slot caches per-target routing state;
 * ``_resolve(p, nid, remap, next_slot, account, schema, stats)`` — turn
   a scanned pending into tree nodes; returns ``(child, part)`` pairs;
 * ``_decide(node, part, next_slot, schema, stats)`` — a node's pending
@@ -40,7 +42,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.builder import RecordBuffer, apply_remap, charge_nid
+from repro.core.builder import RecordBuffer, SlotGroups, apply_remap, charge_nid
 from repro.core.checkpoint import CheckpointManager, SlotCounter, loop_state
 from repro.core.parallel import ScanEngine
 from repro.core.tree import DecisionTree, Node, TreeAccount
@@ -49,6 +51,21 @@ from repro.data.discretize import ReservoirSampler
 from repro.data.schema import Schema
 from repro.io.metrics import BuildStats
 from repro.io.pager import ScanChunk
+
+
+class ScanTarget(dict):
+    """One scan's pendings keyed by slot: the live set or a worker's delta.
+
+    ``plan`` holds what a builder derives from the target's structure to
+    route chunks (CMP-S: the slot index and per-part pointer tables), so
+    it is built once per target rather than once per chunk.  It is
+    process-local and never pickled with a worker's delta.
+    """
+
+    plan: Any = None
+
+    def __reduce__(self) -> tuple:
+        return (ScanTarget, (dict(self),))
 
 
 class LevelDriver:
@@ -206,8 +223,10 @@ class LevelDriver:
             engine.scan(
                 table,
                 route=lambda chunk, tgt: self.builder._route_chunk(chunk, self.nid, tgt),
-                live=pendings,
-                make_delta=lambda: {slot: p.scan_delta() for slot, p in pendings.items()},
+                live=ScanTarget(pendings),
+                make_delta=lambda: ScanTarget(
+                    (slot, p.scan_delta()) for slot, p in pendings.items()
+                ),
                 merge_delta=lambda delta: [
                     pendings[slot].merge_scan_delta(d) for slot, d in delta.items()
                 ],
@@ -241,12 +260,15 @@ class LevelDriver:
             p.buffer = RecordBuffer()  # unbounded: contents fit by paper's premise
             by_slot[p.parent_slot] = p
 
+        slots = list(by_slot)
+        groups = SlotGroups(slots)
+
         def route(chunk: ScanChunk, buffers: dict[int, RecordBuffer]) -> None:
-            slots = nid[chunk.start : chunk.stop]
-            for slot, buf in buffers.items():
-                mask = slots == slot
-                if mask.any():
-                    buf.append(chunk.X[mask], chunk.y[mask], chunk.rids[mask])
+            order, bounds = groups.group(nid[chunk.start : chunk.stop])
+            for i, slot in enumerate(slots):
+                rows = order[bounds[i] : bounds[i + 1]]
+                if len(rows):
+                    buffers[slot].append(chunk.X[rows], chunk.y[rows], chunk.start + rows)
 
         engine.scan(
             table,
@@ -316,4 +338,4 @@ class LevelDriver:
         }
 
 
-__all__ = ["LevelDriver"]
+__all__ = ["LevelDriver", "ScanTarget"]

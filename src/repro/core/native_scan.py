@@ -32,6 +32,9 @@ platforms where ``np.intp`` is not 64-bit):
                       counts, per-bin value extrema (NaN-propagating).
 ``cmp_cat_accum``     float→int64 category cast + scatter-add into
                       ``(ncat, c)`` float64 counts.
+``cmp_*_grouped``     both of the above over many parts in one call: row
+                      ``r`` lands in part ``dest[r]`` through per-part
+                      pointer tables (see :class:`PartTable`).
 ``cmp_matrix_accum``  y-binning + scatter-add into a ``(qx, qy, c)``
                       int32 or int64 cube with y extrema (two variants).
 ``cmp_boundary_ginis``  partition gini at every interval boundary.
@@ -55,24 +58,28 @@ _SOURCE = r"""
 #include <stdint.h>
 
 /* numpy's sort-order less-than for doubles (npy_sort.h): NaN compares
- * greater than every number, so searchsorted keeps NaN in the last bin. */
-static int lt(double a, double b)
+ * greater than every number, so searchsorted keeps NaN in the last bin.
+ * Bitwise operators keep it free of branches. */
+static int64_t lt(double a, double b)
 {
-    return a < b || (b != b && a == a);
+    return (int64_t)((a < b) | ((b != b) & (a == a)));
 }
 
-/* np.searchsorted(edges, v, side="left") on a sorted edges[0..m). */
+/* np.searchsorted(edges, v, side="left") on a sorted edges[0..m): the
+ * number of edges that sort before v.  Branch-free halving (each step
+ * keeps the answer in [base, base + len]), so a random value costs no
+ * mispredicted jumps. */
 static int64_t bin_of(double v, const double *edges, int64_t m)
 {
-    int64_t lo = 0, hi = m;
-    while (lo < hi) {
-        int64_t mid = lo + ((hi - lo) >> 1);
-        if (lt(edges[mid], v))
-            lo = mid + 1;
-        else
-            hi = mid;
+    if (m == 0)
+        return 0;
+    int64_t base = 0, len = m;
+    while (len > 1) {
+        int64_t half = len >> 1;
+        base += lt(edges[base + half - 1], v) * half;
+        len -= half;
     }
-    return lo;
+    return base + lt(edges[base], v);
 }
 
 /* np.minimum / np.maximum semantics: NaN propagates from either side. */
@@ -181,6 +188,70 @@ int cmp_cat_accum_w(int64_t n, int64_t vstride, const double *codes,
         if (k < 0 || k >= ncat || lab < 0 || lab >= c)
             return 1;
         counts[k * c + lab] += weights[r];
+    }
+    return 0;
+}
+
+/* Grouped cmp_hist_accum / cmp_hist_accum_w over many parts at once: row
+ * r lands in part dest[r] (rows with a negative dest are skipped), whose
+ * histogram has sizes[d] edges at edges[d] and accumulators counts[d],
+ * vmin[d], vmax[d].  weights may be NULL (unit adds).  Each part sees its
+ * rows in row order, so one call equals one per-part call on each part's
+ * rows, bit for bit.  Returns 1 on a label out of range, 2 on a dest at
+ * or past n_parts. */
+int cmp_hist_accum_grouped(int64_t n, int64_t vstride, const double *values,
+                           const int64_t *labels, const double *weights,
+                           const int64_t *dest, int64_t n_parts, int64_t c,
+                           const int64_t *sizes, const double *const *edges,
+                           double *const *counts, double *const *vmin,
+                           double *const *vmax)
+{
+    for (int64_t r = 0; r < n; ++r) {
+        int64_t d = dest[r];
+        if (d < 0)
+            continue;
+        if (d >= n_parts)
+            return 2;
+        double v = values[r * vstride];
+        int64_t lab = labels[r];
+        if (lab < 0)
+            lab += c;
+        if (lab < 0 || lab >= c)
+            return 1;
+        int64_t b = bin_of(v, edges[d], sizes[d]);
+        counts[d][b * c + lab] += weights ? weights[r] : 1.0;
+        fold_min(vmin[d] + b, v);
+        fold_max(vmax[d] + b, v);
+    }
+    return 0;
+}
+
+/* Grouped cmp_cat_accum / cmp_cat_accum_w: part d has sizes[d]
+ * categories and counts[d]; same dest and return conventions. */
+int cmp_cat_accum_grouped(int64_t n, int64_t vstride, const double *codes,
+                          const int64_t *labels, const double *weights,
+                          const int64_t *dest, int64_t n_parts, int64_t c,
+                          const int64_t *sizes, double *const *counts)
+{
+    for (int64_t r = 0; r < n; ++r) {
+        int64_t d = dest[r];
+        if (d < 0)
+            continue;
+        if (d >= n_parts)
+            return 2;
+        double cv = codes[r * vstride];
+        if (cv != cv || cv >= 9.2233720368547758e18 || cv < -9.2233720368547758e18)
+            return 1;
+        int64_t k = (int64_t)cv;
+        int64_t ncat = sizes[d];
+        int64_t lab = labels[r];
+        if (k < 0)
+            k += ncat;
+        if (lab < 0)
+            lab += c;
+        if (k < 0 || k >= ncat || lab < 0 || lab >= c)
+            return 1;
+        counts[d][k * c + lab] += weights ? weights[r] : 1.0;
     }
     return 0;
 }
@@ -392,6 +463,8 @@ _resolved = False
 _COUNTS = {
     "hist_accum": 0,
     "cat_accum": 0,
+    "hist_accum_grouped": 0,
+    "cat_accum_grouped": 0,
     "matrix_accum": 0,
     "boundary_ginis": 0,
     "slope_walk": 0,
@@ -427,6 +500,8 @@ def _build() -> dict[str, object] | None:
         "hist_accum_w": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR]),
         "cat_accum": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR]),
         "cat_accum_w": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _I64, _I64, _PTR]),
+        "hist_accum_grouped": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR]),
+        "cat_accum_grouped": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR]),
         "matrix_accum32": (ctypes.c_int, [_I64, _PTR, _I64, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR]),
         "matrix_accum64": (ctypes.c_int, [_I64, _PTR, _I64, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR]),
         "boundary_ginis": (None, [_I64, _I64, _PTR, _PTR, _PTR, _PTR]),
@@ -554,6 +629,8 @@ def _labels_i64(labels: object, n: int) -> np.ndarray | None:
     arr = np.asarray(labels)
     if arr.ndim != 1 or len(arr) != n:
         return None
+    if arr.dtype == np.int64 and arr.flags.c_contiguous:
+        return arr
     if arr.dtype == np.bool_ or not np.issubdtype(arr.dtype, np.integer):
         return None
     return np.ascontiguousarray(arr, dtype=np.int64)
@@ -694,6 +771,169 @@ def cat_accum(
     return True
 
 
+class PartTable:
+    """Per-part pointer tables over one attribute's accumulators.
+
+    Built once per scan target by :func:`part_table`; a grouped kernel
+    call then reaches every part's arrays through it.  ``sizes`` is the
+    address of the per-part edge (or category) counts, ``rows`` the
+    addresses of the pointer rows in kernel argument order (edges, counts,
+    vmin, vmax for class histograms; counts alone for category
+    histograms); ``keep`` keeps everything addressed alive as long as
+    the table.
+    """
+
+    __slots__ = ("n_parts", "n_classes", "sizes", "rows", "keep")
+
+    def __init__(
+        self, n_parts: int, n_classes: int, sizes: int, rows: tuple[int, ...], keep: tuple
+    ) -> None:
+        self.n_parts = n_parts
+        self.n_classes = n_classes
+        self.sizes = sizes
+        self.rows = rows
+        self.keep = keep
+
+    @property
+    def is_class_histogram(self) -> bool:
+        """True for class-histogram tables (edges and extrema included)."""
+        return len(self.rows) == 4
+
+
+def part_table(
+    counts: list[np.ndarray],
+    edges: list[np.ndarray] | None = None,
+    vmin: list[np.ndarray] | None = None,
+    vmax: list[np.ndarray] | None = None,
+) -> PartTable | None:
+    """Pointer tables over many parts' ``(q, c)`` counts, or ``None``.
+
+    With ``edges``/``vmin``/``vmax`` the parts are class histograms
+    (:func:`hist_accum_grouped`), without them category histograms
+    (:func:`cat_accum_grouped`).  ``None`` when some array is not a
+    C-contiguous float64 block or the parts disagree on the class count;
+    the grouped wrappers then decline.
+    """
+    if not counts:
+        return None
+    c = counts[0].shape[-1]
+    if edges is None:
+        groups = [counts]
+        sizes = [a.shape[0] for a in counts]
+    else:
+        assert vmin is not None and vmax is not None
+        groups = [edges, counts, vmin, vmax]
+        sizes = [len(e) for e in edges]
+    arrays = [a for group in groups for a in group]
+    if not all(_contiguous_f64(a) for a in arrays) or any(
+        a.ndim != 2 or a.shape[1] != c for a in counts
+    ):
+        return None
+    n = len(counts)
+    ptrs = np.array([a.ctypes.data for a in arrays], dtype=np.int64)
+    size_arr = np.array(sizes, dtype=np.int64)
+    base = ptrs.ctypes.data
+    rows = tuple(base + 8 * n * i for i in range(len(groups)))
+    return PartTable(n, c, size_arr.ctypes.data, rows, (ptrs, size_arr, *arrays))
+
+
+def _dest_i64(dest: object, n: int) -> np.ndarray | None:
+    arr = np.asarray(dest)
+    if arr.ndim != 1 or len(arr) != n or arr.dtype != np.int64:
+        return None
+    return np.ascontiguousarray(arr)
+
+
+def _grouped_args(
+    values: np.ndarray,
+    labels: object,
+    dest: object,
+    table: PartTable,
+    weights: object | None,
+) -> tuple | None:
+    """Common leading arguments of both grouped kernels, or ``None``.
+
+    Returns ``(args, keep)``; ``keep`` holds converted arrays alive.
+    """
+    n = len(values)
+    vstride = _f64_stride(values)
+    lab = _labels_i64(labels, n)
+    dst = _dest_i64(dest, n)
+    if vstride is None or lab is None or dst is None:
+        return None
+    w = None
+    if weights is not None:
+        w = _weights_f64(weights, n)
+        if w is None:
+            return None
+    args = (
+        n,
+        vstride,
+        values.ctypes.data,
+        lab.ctypes.data,
+        None if w is None else w.ctypes.data,
+        dst.ctypes.data,
+        table.n_parts,
+        table.n_classes,
+        table.sizes,
+    )
+    return args, (lab, dst, w)
+
+
+def _grouped_rc(rc: int, what: str) -> None:
+    if rc == 2:
+        raise IndexError("destination part out of range for the part table")
+    if rc:
+        raise IndexError(what)
+
+
+def hist_accum_grouped(
+    values: np.ndarray,
+    labels: object,
+    dest: object,
+    table: PartTable | None,
+    weights: object | None = None,
+) -> bool:
+    """One :func:`hist_accum` over many parts; False = use numpy.
+
+    Row ``r`` is added to part ``dest[r]`` of ``table`` (``dest`` is
+    int64; negative rows are skipped).  Equal, bit for bit, to one
+    ``hist_accum`` per part on that part's rows in row order.
+    """
+    fns = _resolve()
+    if fns is None or table is None or not table.is_class_histogram:
+        return False
+    args = _grouped_args(values, labels, dest, table, weights)
+    if args is None:
+        return False
+    head, _alive = args
+    rc = fns["hist_accum_grouped"](*head, *table.rows)
+    _grouped_rc(rc, "class label out of bounds for histogram counts")
+    _count("hist_accum_grouped")
+    return True
+
+
+def cat_accum_grouped(
+    codes: np.ndarray,
+    labels: object,
+    dest: object,
+    table: PartTable | None,
+    weights: object | None = None,
+) -> bool:
+    """One :func:`cat_accum` over many parts; False = use numpy."""
+    fns = _resolve()
+    if fns is None or table is None or table.is_class_histogram:
+        return False
+    args = _grouped_args(codes, labels, dest, table, weights)
+    if args is None:
+        return False
+    head, _alive = args
+    rc = fns["cat_accum_grouped"](*head, table.rows[0])
+    _grouped_rc(rc, "category code or class label out of bounds")
+    _count("cat_accum_grouped")
+    return True
+
+
 def matrix_accum(
     x_bins: np.ndarray,
     y_values: np.ndarray,
@@ -818,6 +1058,10 @@ __all__ = [
     "kernel_calls_total",
     "hist_accum",
     "cat_accum",
+    "PartTable",
+    "part_table",
+    "hist_accum_grouped",
+    "cat_accum_grouped",
     "matrix_accum",
     "boundary_ginis",
     "slope_walk",

@@ -15,7 +15,9 @@ from repro.io.pager import DEFAULT_PAGE_RECORDS, PagedTable
 class Dataset:
     """A training set: attribute matrix ``X``, labels ``y``, and a schema.
 
-    ``X`` is ``(n, p)`` float64; categorical columns hold integer codes.
+    ``X`` is ``(n, p)`` float64; categorical columns hold integer codes
+    in ``range(cardinality)`` (anything else — NaN, inf, fractions,
+    negative or too-large codes — is rejected at construction).
     ``y`` is ``(n,)`` int64 with values in ``range(schema.n_classes)``.
     """
 
@@ -35,6 +37,39 @@ class Dataset:
             )
         if len(self.y) and (self.y.min() < 0 or self.y.max() >= self.schema.n_classes):
             raise ValueError("labels out of range for schema")
+        self._check_codes()
+
+    def _check_codes(self) -> None:
+        """Reject categorical columns that are not valid code vectors.
+
+        Codes must be integral and in ``range(cardinality)``; NaN, inf,
+        fractions and out-of-range codes raise ``ValueError`` naming the
+        attribute and its first offending row.
+        """
+        cats = self.schema.categorical_indices()
+        if not cats or not len(self.y):
+            return
+        codes = self.X[:, cats]
+        cards = np.array([self.schema.attributes[j].cardinality for j in cats])
+        # min/max propagate NaN, so in-range extrema also rule out NaN and
+        # inf, after which the integer cast below is well defined.
+        if (
+            np.all(codes.min(axis=0) >= 0)
+            and np.all(codes.max(axis=0) < cards)
+            and np.array_equal(codes.astype(np.int64), codes)
+        ):
+            return
+        for k, j in enumerate(cats):
+            col = codes[:, k]
+            with np.errstate(invalid="ignore"):
+                bad = ~((col >= 0) & (col < cards[k]) & (col == np.floor(col)))
+            if bad.any():
+                row = int(np.argmax(bad))
+                raise ValueError(
+                    f"categorical attribute {self.schema.attributes[j].name!r}: "
+                    f"row {row} has code {col[row]!r}; codes must be integers "
+                    f"in range({cards[k]})"
+                )
 
     @property
     def n_records(self) -> int:

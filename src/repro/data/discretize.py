@@ -123,15 +123,14 @@ def edges_from_histogram(
         populated = counts > 0
         if not populated.any():
             return np.empty(0, dtype=np.float64)
-        points: list[float] = []
-        cdf: list[float] = []
-        cum = 0.0
-        for i in np.nonzero(populated)[0]:
-            points.extend((float(vmin[i]), float(vmax[i])))
-            cdf.extend((cum, cum + float(counts[i])))
-            cum += float(counts[i])
-        cdf_arr = np.asarray(cdf) / total
-        new_edges = np.interp(probs, cdf_arr, np.asarray(points))
+        # Each populated interval contributes (vmin, cum) and (vmax, cum +
+        # count), cum being the running total of the intervals before it.
+        mass = counts[populated]
+        ends = np.cumsum(mass)
+        starts = np.concatenate(([0.0], ends[:-1]))
+        points = np.column_stack((vmin[populated], vmax[populated])).ravel()
+        cdf_arr = np.column_stack((starts, ends)).ravel() / total
+        new_edges = np.interp(probs, cdf_arr, points)
         hi = float(np.max(vmax[populated]))
         lo = float(np.min(vmin[populated]))
         new_edges = np.unique(new_edges)

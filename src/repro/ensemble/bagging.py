@@ -9,15 +9,16 @@ that makes this exact is representing member ``t``'s bootstrap draw as
 per-record multiplicity *weights* over the original table rather than a
 materialized resampled copy:
 
-* histogram updates add each drawn record with its weight — exact for
-  integer-valued float64 weights, hence bit-identical to the repeated
-  unit adds a materialized bootstrap sample would produce;
+* histogram updates add each drawn record with its weight (the grouped
+  route's weighted kernels) — exact for integer-valued float64 weights,
+  hence bit-identical to the repeated unit adds a materialized bootstrap
+  sample would produce;
 * alive-interval buffers append ``np.repeat``-expanded rows, so the
   concatenated buffer contents equal the solo build's byte for byte
   (both walk records in ascending original order);
 * the per-member ``nid`` column marks never-drawn records ``-1`` — a
-  slot number is never negative, so those records fall through every
-  routing mask without an explicit weight filter.
+  slot number is never negative, so those records belong to no routing
+  group and need no explicit weight filter.
 
 Each member also consumes exactly the random stream its solo twin
 would: the scan-1 reservoirs are fed the member's *expanded* value
@@ -46,12 +47,11 @@ from repro.core.builder import (
     PartState,
     RecordBuffer,
     charge_nid,
-    classify_zones,
     make_part_hists,
 )
 from repro.core.checkpoint import SlotCounter
-from repro.core.cmp_s import CMPSBuilder, PendingSplit
-from repro.core.level_driver import LevelDriver
+from repro.core.cmp_s import CMPSBuilder, PendingSplit, route_grouped
+from repro.core.level_driver import LevelDriver, ScanTarget
 from repro.core.parallel import ScanEngine
 from repro.core.tree import DecisionTree, TreeAccount
 from repro.data.dataset import Dataset
@@ -323,9 +323,11 @@ class BaggedForestBuilder:
                         route=lambda chunk, tgt: self._route_members(
                             chunk, nid, weights, tgt
                         ),
-                        live=live,
+                        live={t: ScanTarget(d) for t, d in live.items()},
                         make_delta=lambda: {
-                            t: {slot: p.scan_delta() for slot, p in d.items()}
+                            t: ScanTarget(
+                                (slot, p.scan_delta()) for slot, p in d.items()
+                            )
                             for t, d in live.items()
                         },
                         merge_delta=lambda delta: [
@@ -370,47 +372,22 @@ class BaggedForestBuilder:
         chunk: ScanChunk,
         nid: np.ndarray,
         weights: list[np.ndarray],
-        tgt: dict[int, dict[int, PendingSplit]],
+        tgt: dict[int, ScanTarget],
     ) -> None:
         """Route one chunk through every live member's pending splits.
 
-        The per-member body mirrors ``CMPSBuilder._route_chunk`` with
-        weighted part updates and ``np.repeat``-expanded buffer appends;
-        see the module docstring for why both are exact.
+        Each member takes the grouped route of ``CMPSBuilder._route_chunk``
+        with its draw counts as weights: weighted part updates and
+        ``np.repeat``-expanded buffer appends; see the module docstring
+        for why both are exact.
         """
         for t, pendings in tgt.items():
-            nid_col = nid[:, t]
-            slots = nid_col[chunk.start : chunk.stop]
-            w_col = weights[t][chunk.start : chunk.stop]
-            for slot, p in pendings.items():
-                mask = slots == slot
-                if not mask.any():
-                    continue
-                X = chunk.X[mask]
-                y = chunk.y[mask]
-                rids = chunk.rids[mask]
-                wm = w_col[mask]
-                if p.exact_split is not None:
-                    left = p.exact_split.goes_left(X)
-                    p.parts[0].update(X[left], y[left], wm[left])
-                    p.parts[1].update(X[~left], y[~left], wm[~left])
-                    nid_col[rids[left]] = p.parts[0].slot
-                    nid_col[rids[~left]] = p.parts[1].slot
-                    continue
-                zones = classify_zones(X[:, p.attr], p.zone_bounds)
-                alive = (zones & 1) == 1
-                if alive.any():
-                    reps = wm[alive].astype(np.int64)
-                    p.buffer.append(
-                        np.repeat(X[alive], reps, axis=0),
-                        np.repeat(y[alive], reps),
-                        np.repeat(rids[alive], reps),
-                    )
-                for r, part in enumerate(p.parts):
-                    m = zones == 2 * r
-                    if m.any():
-                        part.update(X[m], y[m], wm[m])
-                        nid_col[rids[m]] = part.slot
+            route_grouped(
+                pendings,
+                chunk,
+                nid[chunk.start : chunk.stop, t],
+                weights[t][chunk.start : chunk.stop],
+            )
 
     def _refill_overflowed(
         self,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import Dataset
-from repro.data.schema import Schema, continuous
+from repro.data.schema import Schema, categorical, continuous
 
 
 def make(n: int = 100, seed: int = 0) -> Dataset:
@@ -34,6 +34,42 @@ class TestValidation:
         bad[0] = 7
         with pytest.raises(ValueError, match="out of range"):
             Dataset(ds.X, bad, ds.schema)
+
+
+class TestCategoricalCodes:
+    """Categorical columns must hold integer codes in range(cardinality)."""
+
+    def make_cat(self, codes) -> tuple[np.ndarray, np.ndarray, Schema]:
+        codes = np.asarray(codes, dtype=np.float64)
+        X = np.column_stack([np.arange(len(codes), dtype=np.float64), codes])
+        y = np.arange(len(codes)) % 2
+        schema = Schema(
+            (continuous("a"), categorical("colour", ("r", "g", "b"))), ("c0", "c1")
+        )
+        return X, y, schema
+
+    def test_valid_codes_accepted(self):
+        ds = Dataset(*self.make_cat([0, 1, 2, 2, 0, -0.0]))
+        assert ds.n_records == 6
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, 1.5, -1.0, 3.0, 1e19]
+    )
+    def test_invalid_code_names_attribute_and_row(self, bad):
+        X, y, schema = self.make_cat([0, 1, 2, 1])
+        X[2, 1] = bad
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match=r"'colour': row 2 has code"):
+            Dataset(X, y, schema)
+
+    def test_continuous_columns_unchecked(self):
+        X, y, schema = self.make_cat([0, 1, 2, 1])
+        X[1, 0] = np.nan
+        assert Dataset(X, y, schema).n_records == 4
+
+    def test_take_of_valid_dataset_stays_valid(self):
+        ds = Dataset(*self.make_cat([0, 1, 2, 1]))
+        assert ds.take(np.array([3, 0])).n_records == 2
 
 
 class TestAccess:

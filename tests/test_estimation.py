@@ -126,3 +126,57 @@ class TestVectorizedParity:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="intervals, classes"):
             interval_estimates(np.zeros(5))
+        with pytest.raises(ValueError, match="intervals, classes"):
+            interval_estimates(np.zeros((2, 3, 4, 2)))
+
+
+stacked_hists = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 4), st.integers(1, 10), st.integers(2, 4)),
+    elements=st.integers(min_value=0, max_value=200).map(float),
+)
+
+
+class TestStackedEstimates:
+    """The ``(a, q, c)`` form: every histogram climbs on its own totals."""
+
+    @given(stacked_hists, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_reference(self, stack, data):
+        a, q, c = stack.shape
+        atomic = data.draw(hnp.arrays(np.bool_, (a, q)))
+        vec = interval_estimates(stack, atomic=atomic)
+        assert vec.shape == (a, q)
+        for k in range(a):
+            hist = stack[k]
+            totals = hist.sum(axis=0)
+            if totals.sum() == 0:
+                continue
+            cum_left = np.zeros(c)
+            for i in range(q):
+                scalar = interval_estimate(cum_left, hist[i], totals, atomic[k, i])
+                assert vec[k, i] == pytest.approx(scalar, abs=1e-9), (k, i)
+                cum_left += hist[i]
+
+    @given(stacked_hists, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_bitwise_equal_to_2d_calls(self, stack, data):
+        # Zero-padding a histogram to a longer grid and stacking it with
+        # others changes none of its estimates, bit for bit.
+        a, q, c = stack.shape
+        lengths = data.draw(st.lists(st.integers(1, q), min_size=a, max_size=a))
+        padded = stack.copy()
+        atomic = data.draw(hnp.arrays(np.bool_, (a, q)))
+        for k, qk in enumerate(lengths):
+            padded[k, qk:] = 0.0
+            atomic[k, qk:] = False
+        vec = interval_estimates(padded, atomic=atomic)
+        for k, qk in enumerate(lengths):
+            alone = interval_estimates(padded[k, :qk], atomic=atomic[k, :qk])
+            assert vec[k, :qk].tobytes() == alone.tobytes()
+
+    def test_2d_is_the_single_histogram_case(self):
+        hist = np.array([[10.0, 0.0], [30.0, 30.0], [0.0, 10.0]])
+        np.testing.assert_array_equal(
+            interval_estimates(hist), interval_estimates(hist[None])[0]
+        )

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.histogram import ClassHistogram
 from repro.core.intervals import (
     analyze_attribute,
+    analyze_attributes,
     choose_split_attribute,
     select_alive_intervals,
 )
@@ -223,3 +227,118 @@ class TestAliveZoneBoundaries:
         # cut is after 1.5, which separates the classes exactly.
         assert resolved.threshold == 1.5
         assert resolved.gini == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Stacked decide: analyze_attributes == per-attribute analyze_attribute
+# ---------------------------------------------------------------------------
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def assert_analyses_identical(stacked, single):
+    assert len(stacked) == len(single)
+    for a, b in zip(stacked, single):
+        assert a.attr == b.attr
+        assert _bits(a.est) == _bits(b.est)
+        assert _bits(a.boundary_gini) == _bits(b.boundary_gini)
+        assert _bits(a.gini_min) == _bits(b.gini_min)
+        assert _bits(a.est_min) == _bits(b.est_min)
+        assert _bits(a.node_gini) == _bits(b.node_gini)
+        assert a.best_boundary == b.best_boundary
+        assert a.alive == b.alive
+        assert _bits(a.edges) == _bits(b.edges)
+
+
+def _histogram(counts: np.ndarray, atomic: np.ndarray) -> ClassHistogram:
+    """A histogram with the given counts; ``atomic`` populated intervals
+    hold one distinct value, the others two."""
+    q, c = counts.shape
+    hist = ClassHistogram(np.arange(1.0, q), c)
+    hist.counts[:] = counts
+    populated = counts.sum(axis=1) > 0
+    lo = np.arange(q) + 0.25
+    hist.vmin = np.where(populated, lo, np.inf)
+    hist.vmax = np.where(populated, np.where(atomic, lo, lo + 0.5), -np.inf)
+    return hist
+
+
+@st.composite
+def node_histograms(draw):
+    """Ragged per-attribute histograms of one node (Q from 1, c 2..10).
+
+    Attributes share the node's class totals, as in a builder: each is a
+    different partition of the same records into intervals.
+    """
+    c = draw(st.integers(2, 10))
+    totals = draw(
+        hnp.arrays(np.int64, c, elements=st.integers(0, 60)).filter(
+            lambda t: t.sum() > 0
+        )
+    )
+    n_attrs = draw(st.integers(1, 5))
+    hists = []
+    for _ in range(n_attrs):
+        q = draw(st.integers(1, 12))
+        if draw(st.booleans()):
+            # Every record in one interval.
+            counts = np.zeros((q, c))
+            counts[draw(st.integers(0, q - 1))] = totals
+        else:
+            # Scatter each class's records over the intervals; empty
+            # intervals arise naturally.
+            seed = draw(st.integers(0, 2**32 - 1))
+            r = np.random.default_rng(seed)
+            counts = np.zeros((q, c))
+            for k in range(c):
+                counts[:, k] = np.bincount(
+                    r.integers(0, q, int(totals[k])), minlength=q
+                )
+        atomic = draw(hnp.arrays(np.bool_, q))
+        hists.append(_histogram(counts, atomic))
+    return hists
+
+
+class TestAnalyzeAttributes:
+    @given(node_histograms(), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_per_attribute(self, hists, max_alive):
+        items = list(enumerate(hists))
+        stacked = analyze_attributes(items)
+        single = [analyze_attribute(j, h) for j, h in items]
+        if stacked:
+            choose_split_attribute(stacked, max_alive)
+            choose_split_attribute(single, max_alive)
+        assert_analyses_identical(stacked, single)
+
+    def test_empty_item_list(self):
+        assert analyze_attributes([]) == []
+
+    def test_cmpb_marginals(self, rng):
+        # The x and y marginals of a CMP-B matrix set, as CMP-B decides.
+        from repro.core.matrix import MatrixSet
+        from repro.data.synthetic import generate_agrawal
+
+        data = generate_agrawal("F7", 3_000, seed=3)
+        cont = data.schema.continuous_indices()
+        edges = {
+            j: np.unique(np.quantile(data.X[:, j], np.linspace(0.05, 0.95, 15)))
+            for j in cont
+        }
+        mset = MatrixSet.create(data.schema, cont[0], edges)
+        mset.update(data.X, data.y)
+        hists = {mset.x_attr: mset.x_marginal()}
+        for j in mset.matrices:
+            hists[j] = mset.y_marginal(j)
+        # A side slice too: zeroed columns outside [3, 9).
+        side = {mset.x_attr: mset.x_marginal(3, 9)}
+        for j in mset.matrices:
+            side[j] = mset.y_marginal(j, 3, 9)
+        for group in (hists, side):
+            stacked = analyze_attributes(group.items())
+            single = [analyze_attribute(j, h) for j, h in group.items()]
+            choose_split_attribute(stacked, 2)
+            choose_split_attribute(single, 2)
+            assert_analyses_identical(stacked, single)

@@ -170,6 +170,165 @@ class TestCatAccum:
             native_scan.cat_accum(codes, labels, np.zeros((4, 2)))
 
 
+class TestGroupedAccum:
+    """``*_accum_grouped`` == per-part ``np.add.at``/``minimum.at``/``maximum.at``."""
+
+    N_PARTS = 5
+
+    def _hist_parts(self, rng, c):
+        edges = [np.sort(rng.normal(size=k)) for k in rng.integers(0, 9, self.N_PARTS)]
+        counts = [np.zeros((len(e) + 1, c)) for e in edges]
+        vmin = [np.full(len(e) + 1, np.inf) for e in edges]
+        vmax = [np.full(len(e) + 1, -np.inf) for e in edges]
+        return edges, counts, vmin, vmax
+
+    def _hist_reference(self, values, labels, dest, weights, edges, c):
+        out = []
+        for d, e in enumerate(edges):
+            m = dest == d
+            counts = np.zeros((len(e) + 1, c))
+            vmin = np.full(len(e) + 1, np.inf)
+            vmax = np.full(len(e) + 1, -np.inf)
+            bins = bin_index(values[m], e)
+            w = 1.0 if weights is None else weights[m]
+            np.add.at(counts, (bins, labels[m]), w)
+            with np.errstate(invalid="ignore"):
+                np.minimum.at(vmin, bins, values[m])
+                np.maximum.at(vmax, bins, values[m])
+            out.append((counts, vmin, vmax))
+        return out
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_hist_matches_per_part_numpy(self, rng, weighted):
+        n, c = 3_000, 3
+        X = rng.normal(size=(n, 4))
+        X[::41, 2] = np.nan  # last bin, and NaN extrema
+        values = X[:, 2]  # strided view
+        labels = rng.integers(-c, c, size=n)  # negatives wrap like numpy
+        dest = rng.integers(-1, self.N_PARTS, size=n)
+        weights = rng.integers(1, 4, size=n).astype(np.float64) if weighted else None
+        edges, counts, vmin, vmax = self._hist_parts(rng, c)
+        table = native_scan.part_table(counts, edges, vmin, vmax)
+        assert native_scan.hist_accum_grouped(values, labels, dest, table, weights)
+        ref = self._hist_reference(values, labels, dest, weights, edges, c)
+        for d, (rc, rmin, rmax) in enumerate(ref):
+            assert counts[d].tobytes() == rc.tobytes()
+            assert vmin[d].tobytes() == rmin.tobytes()
+            assert vmax[d].tobytes() == rmax.tobytes()
+        assert any(np.isnan(v).any() for v in vmin)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_cat_matches_per_part_numpy(self, rng, weighted):
+        n, c = 2_000, 2
+        ncats = rng.integers(2, 7, self.N_PARTS)
+        codes = rng.integers(0, 2, size=n).astype(np.float64)
+        codes[::37] = -1.0  # wraps to the last category
+        labels = rng.integers(0, c, size=n)
+        dest = rng.integers(-1, self.N_PARTS, size=n)
+        weights = rng.integers(1, 4, size=n).astype(np.float64) if weighted else None
+        counts = [np.zeros((k, c)) for k in ncats]
+        table = native_scan.part_table(counts)
+        assert native_scan.cat_accum_grouped(codes, labels, dest, table, weights)
+        for d, k in enumerate(ncats):
+            m = dest == d
+            ref = np.zeros((k, c))
+            w = 1.0 if weights is None else weights[m]
+            np.add.at(ref, (codes[m].astype(np.intp), labels[m]), w)
+            assert counts[d].tobytes() == ref.tobytes()
+
+    def test_skipped_rows_leave_no_trace(self, rng):
+        edges, counts, vmin, vmax = self._hist_parts(rng, 2)
+        table = native_scan.part_table(counts, edges, vmin, vmax)
+        # Labels of skipped rows are never read, even when out of range.
+        assert native_scan.hist_accum_grouped(
+            np.array([np.nan, 1.0]),
+            np.array([99, 99]),
+            np.array([-1, -1]),
+            table,
+        )
+        assert all(not c.any() for c in counts)
+        assert all(np.isposinf(v).all() for v in vmin)
+
+    def test_out_of_range_label_code_or_dest_raises(self, rng):
+        edges, counts, vmin, vmax = self._hist_parts(rng, 2)
+        table = native_scan.part_table(counts, edges, vmin, vmax)
+        one = np.array([0.5])
+        with pytest.raises(IndexError):
+            native_scan.hist_accum_grouped(one, np.array([2]), np.array([0]), table)
+        with pytest.raises(IndexError):
+            native_scan.hist_accum_grouped(one, np.array([-3]), np.array([0]), table)
+        with pytest.raises(IndexError, match="destination"):
+            native_scan.hist_accum_grouped(
+                one, np.array([0]), np.array([self.N_PARTS]), table
+            )
+        cat = native_scan.part_table([np.zeros((3, 2)) for _ in range(2)])
+        for bad in (3.0, -4.0, np.nan, 1e19):
+            with pytest.raises(IndexError):
+                native_scan.cat_accum_grouped(
+                    np.array([bad]), np.array([0]), np.array([1]), cat
+                )
+
+    def test_declines_off_envelope(self, rng):
+        edges, counts, vmin, vmax = self._hist_parts(rng, 2)
+        table = native_scan.part_table(counts, edges, vmin, vmax)
+        values = rng.normal(size=8)
+        labels = rng.integers(0, 2, size=8)
+        dest = np.zeros(8, dtype=np.int64)
+        assert not native_scan.hist_accum_grouped(
+            values.astype(np.float32), labels, dest, table
+        )
+        assert not native_scan.hist_accum_grouped(
+            values, labels, dest.astype(np.int32), table
+        )
+        assert not native_scan.hist_accum_grouped(values, labels, dest, None)
+        cat_table = native_scan.part_table([np.zeros((2, 2))])
+        assert not native_scan.hist_accum_grouped(values, labels, dest, cat_table)
+        assert not native_scan.cat_accum_grouped(values, labels, dest, table)
+        # Tables refuse non-contiguous or non-float64 accumulators.
+        assert native_scan.part_table([np.zeros((4, 2))[::2]]) is None
+        assert native_scan.part_table([np.zeros((2, 2), dtype=np.float32)]) is None
+        assert native_scan.part_table([]) is None
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_part_group_native_equals_force_numpy(self, rng, weighted):
+        from repro.core.builder import PartGroup, PartState, make_part_hists
+        from repro.data.synthetic import generate_agrawal
+
+        data = generate_agrawal("F2", 2_000, seed=5)
+        X, y = data.X.copy(), data.y
+        X[::29, 0] = np.nan
+        cont = data.schema.continuous_indices()
+
+        def parts():
+            r = np.random.default_rng(7)
+            return [
+                PartState(
+                    k,
+                    2,
+                    make_part_hists(
+                        data.schema,
+                        {j: np.sort(r.choice(X[:, j], r.integers(0, 12))) for j in cont},
+                    ),
+                )
+                for k in range(4)
+            ]
+
+        dest = rng.integers(-1, 4, size=len(y))
+        weights = rng.integers(1, 3, size=len(y)).astype(np.float64) if weighted else None
+        on = parts()
+        PartGroup(on).update(X, y, dest, weights)
+        with native_scan.force_numpy(), np.errstate(invalid="ignore"):
+            off = parts()
+            PartGroup(off).update(X, y, dest, weights)
+        for a, b in zip(on, off):
+            assert a.class_counts.tobytes() == b.class_counts.tobytes()
+            for j in a.hists:
+                assert a.hists[j].counts.tobytes() == b.hists[j].counts.tobytes()
+                if j in cont:
+                    assert a.hists[j].vmin.tobytes() == b.hists[j].vmin.tobytes()
+                    assert a.hists[j].vmax.tobytes() == b.hists[j].vmax.tobytes()
+
+
 class TestMatrixAccum:
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_matches_numpy(self, rng, dtype):
@@ -289,6 +448,51 @@ class TestSlopeWalk:
         huge[0, 0, 0] = 2.0**27
         assert native_scan.slope_walk(huge, 16) is None
         assert native_scan.slope_walk(np.zeros((2, 2)), 16) is None
+
+
+# ---------------------------------------------------------------------------
+# Dispatch budget of a grouped CMP-S build
+# ---------------------------------------------------------------------------
+
+
+class TestDispatchBudget:
+    """A CMP-S build makes one native call per (attribute, chunk) per scan.
+
+    Routing dispatches one grouped call per attribute and chunk however
+    many parts a level has; resolve makes one grouped call per attribute
+    for each split's buffered records, and the decide one boundary sweep
+    per (node, continuous attribute).  A silent fall back to per-part
+    dispatch multiplies the routing term by the part count and fails this.
+    """
+
+    @pytest.mark.parametrize("workers,backend", [(1, "thread"), (2, "thread"), (2, "process")])
+    def test_kernel_calls_within_budget(self, workers, backend):
+        from repro.config import BuilderConfig
+        from repro.core.cmp_s import CMPSBuilder
+        from repro.data.synthetic import generate_agrawal
+
+        data = generate_agrawal("F2", 30_000, seed=2)
+        config = BuilderConfig(
+            n_intervals=60,
+            max_depth=8,
+            min_records=50,
+            scan_workers=workers,
+            scan_backend=backend,
+        )
+        before = native_scan.kernel_counts()
+        result = CMPSBuilder(config).build(data)
+        after = native_scan.kernel_counts()
+        stats = result.stats
+        table = data.as_paged(None, config.page_records)
+        chunks = len(table.chunk_starts())
+        attrs = data.n_attributes
+        sweeps = after["boundary_ginis"] - before["boundary_ginis"]
+        internal = result.tree.n_nodes - result.tree.n_leaves
+        budget = chunks * attrs * stats.io.scans + sweeps + attrs * internal
+        assert stats.native_kernel_calls <= budget
+        # The per-part kernels only run in the root-summary scan.
+        assert after["hist_accum"] - before["hist_accum"] <= chunks * attrs
+        assert after["hist_accum_grouped"] > before["hist_accum_grouped"]
 
 
 # ---------------------------------------------------------------------------
