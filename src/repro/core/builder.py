@@ -253,20 +253,23 @@ class PartGroup:
     """The parts of one scan target, accumulated in one pass per attribute.
 
     Row ``r`` of a batch belongs to ``parts[dest[r]]``; rows with a
-    negative ``dest`` belong to none.  Pointer tables over every part's
-    histograms are built once, here, so a batch costs one native call per
-    attribute however many parts it feeds.  Each part receives its rows
-    in batch order, so the counts and extrema are bit-identical to
-    calling :meth:`PartState.update` per part — which is exactly what
-    the numpy fallback does.
+    negative ``dest`` belong to none.  Histogram parts (:class:`PartState`)
+    get pointer tables over every part's histograms, built once, here, so
+    a batch costs one native call per attribute however many parts it
+    feeds.  Any other part (CMP-B's matrix parts) gets one ``update`` of
+    its grouped rows.  Each part receives its rows in batch order, so the
+    counts and extrema are bit-identical to calling ``update`` per part on
+    its masked rows — which is exactly what the numpy fallback does.
     """
 
-    def __init__(self, parts: list[PartState]) -> None:
+    def __init__(self, parts: list[Any]) -> None:
         self.parts = parts
         self.slots = np.array([p.slot for p in parts], dtype=np.int64)
         #: attribute -> (grouped kernel, its pointer table over the parts)
         self.tables: dict[int, tuple[Callable[..., bool], Any]] = {}
-        for j, hist in (parts[0].hists.items() if parts else ()):
+        if not parts or not isinstance(parts[0], PartState):
+            return
+        for j, hist in parts[0].hists.items():
             hists = [p.hists[j] for p in parts]
             if isinstance(hist, ClassHistogram):
                 self.tables[j] = (
@@ -298,29 +301,53 @@ class PartGroup:
         """
         if not self.parts:
             return
-        c = self.parts[0].n_classes
         routed = dest >= 0
-        class_counts = np.bincount(
-            dest[routed] * c + y[routed],
-            weights=None if weights is None else weights[routed],
-            minlength=len(self.parts) * c,
-        ).reshape(len(self.parts), c)
-        for k in np.flatnonzero(class_counts.any(axis=1)):
-            self.parts[k].class_counts += class_counts[k]
-        fallback = []
-        for j, (accum, table) in self.tables.items():
-            if not accum(X[:, j], y, dest, table, weights):
-                fallback.append(j)
-        if not fallback:
-            return
+        fallback: list[int] = []
+        if self.tables:
+            c = self.parts[0].n_classes
+            class_counts = np.bincount(
+                dest[routed] * c + y[routed],
+                weights=None if weights is None else weights[routed],
+                minlength=len(self.parts) * c,
+            ).reshape(len(self.parts), c)
+            for k in np.flatnonzero(class_counts.any(axis=1)):
+                self.parts[k].class_counts += class_counts[k]
+            for j, (accum, table) in self.tables.items():
+                if not accum(X[:, j], y, dest, table, weights):
+                    fallback.append(j)
+            if not fallback:
+                return
         order, bounds = group_rows(np.where(routed, dest, -1), len(self.parts))
         for k, part in enumerate(self.parts):
             rows = order[bounds[k] : bounds[k + 1]]
             if len(rows) == 0:
                 continue
             w = None if weights is None else weights[rows]
+            if not self.tables:
+                part.update(X[rows], y[rows], w)
             for j in fallback:
                 part.hists[j].update(X[rows, j], y[rows], w)
+
+
+def distribute(
+    parts: list[Any],
+    X: np.ndarray,
+    y: np.ndarray,
+    rids: np.ndarray,
+    dest: np.ndarray,
+    nid: np.ndarray,
+) -> None:
+    """Add buffered records to ``parts[dest[r]]`` and move them there in ``nid``.
+
+    The post-scan half of routing: a resolved split hands its buffered
+    records (record ids ``rids``) to the parts they now belong to through
+    the same grouped update the scan uses.  Rows with a negative ``dest``
+    stay where they are.
+    """
+    group = PartGroup(parts)
+    group.update(X, y, dest)
+    routed = dest >= 0
+    nid[rids[routed]] = group.slots[dest[routed]]
 
 
 def make_part_hists(
@@ -544,6 +571,43 @@ class ResolvedThreshold:
     n_candidates: int = 1
 
 
+def cut_candidates(
+    values: np.ndarray,
+    labels: np.ndarray,
+    base: np.ndarray,
+    include_last: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate thresholds inside a run of buffered records.
+
+    Sorts the records by value (stably) and cuts after the last record of
+    each distinct value — after the final record too when
+    ``include_last``.  Returns the cut values and, per cut, the class
+    counts at or below it: ``base`` (the counts below the run) plus the
+    sorted prefix's one-hot cumulative sum.
+    """
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    onehot = np.zeros((len(v), len(base)), dtype=np.float64)
+    onehot[np.arange(len(v)), labels[order]] = 1.0
+    cum = np.cumsum(onehot, axis=0) + base[None, :]
+    cuts = np.nonzero(v[:-1] < v[1:])[0]
+    if include_last and len(v):
+        cuts = np.append(cuts, len(v) - 1)
+    return v[cuts], cum[cuts]
+
+
+def candidate_ginis(left: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Partition gini of each candidate's ``(k, c)`` left counts.
+
+    A candidate that leaves a side empty is invalid and scores ``inf``,
+    so ``argmin`` lands on a finite gini whenever some candidate is valid.
+    """
+    nl = left.sum(axis=1)
+    valid = (nl > 0) & (nl < totals.sum())
+    ginis = np.asarray(gini_partition(left, totals[None, :] - left), dtype=np.float64)
+    return np.where(valid, ginis, np.inf)
+
+
 def resolve_exact_threshold(
     totals: np.ndarray,
     best_boundary_value: float | None,
@@ -582,7 +646,6 @@ def resolve_exact_threshold(
     Returns ``None`` when no valid split exists at all.
     """
     totals = np.asarray(totals, dtype=np.float64)
-    n = totals.sum()
     best_gini = np.inf
     best_thr = np.nan
     best_from_buffer = False
@@ -592,38 +655,21 @@ def resolve_exact_threshold(
         best_thr = float(best_boundary_value)
         n_candidates = 1
 
-    n_classes = len(totals)
     for (lo, hi), cum_below in zip(alive_bounds, alive_cum_below):
         in_interval = (buf_values > lo) & (buf_values <= hi)
-        v = buf_values[in_interval]
-        if len(v) == 0:
-            continue
-        lab = buf_labels[in_interval]
-        order = np.argsort(v, kind="stable")
-        v = v[order]
-        lab = lab[order]
-        onehot = np.zeros((len(v), n_classes), dtype=np.float64)
-        onehot[np.arange(len(v)), lab] = 1.0
-        cum = np.cumsum(onehot, axis=0) + cum_below[None, :]
-        # Candidates: after the last record of each distinct value.  The
-        # final record's threshold equals the interval's upper-boundary
+        # The final record's threshold equals the interval's upper-boundary
         # split, which the boundary ginis already cover (when valid).
-        distinct = np.nonzero(v[:-1] < v[1:])[0]
-        if len(distinct) == 0:
+        cuts, left = cut_candidates(
+            buf_values[in_interval], buf_labels[in_interval], cum_below
+        )
+        if len(cuts) == 0:
             continue
-        n_candidates += len(distinct)
-        left = cum[distinct]
-        nl = left.sum(axis=1)
-        valid = (nl > 0) & (nl < n)
-        if not np.any(valid):
-            continue
-        right = totals[None, :] - left
-        ginis = np.asarray(gini_partition(left, right), dtype=np.float64)
-        ginis = np.where(valid, ginis, np.inf)
+        n_candidates += len(cuts)
+        ginis = candidate_ginis(left, totals)
         t = int(np.argmin(ginis))
         if ginis[t] < best_gini - 1e-15:
             best_gini = float(ginis[t])
-            best_thr = float(v[distinct[t]])
+            best_thr = float(cuts[t])
             best_from_buffer = True
     if not np.isfinite(best_gini):
         return None
@@ -681,17 +727,8 @@ def resolve_single_level(
             target.merge_from(part)
             remap[part.slot] = target.slot
         if len(yb):
-            goes_left = buf_vals <= res.threshold
-            # Histogram parts (CMP-S) take the grouped update; CMP-B's
-            # matrix parts update one by one.
-            if isinstance(left, PartState):
-                dest = np.where(goes_left, 0, 1).astype(np.int64)
-                PartGroup([left, right]).update(Xb, yb, dest)
-            else:
-                left.update(Xb[goes_left], yb[goes_left])
-                right.update(Xb[~goes_left], yb[~goes_left])
-            nid[rids[goes_left]] = left.slot
-            nid[rids[~goes_left]] = right.slot
+            dest = np.where(buf_vals <= res.threshold, 0, 1).astype(np.int64)
+            distribute([left, right], Xb, yb, rids, dest, nid)
 
     if left.class_counts.sum() == 0 or right.class_counts.sum() == 0:
         for part in (*p.parts, left, right):
@@ -714,7 +751,10 @@ __all__ = [
     "ResolvedThreshold",
     "alive_runs",
     "apply_remap",
+    "candidate_ginis",
     "charge_nid",
+    "cut_candidates",
+    "distribute",
     "make_part_hists",
     "merge_contiguous",
     "zone_boundaries",

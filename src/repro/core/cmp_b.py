@@ -43,13 +43,17 @@ from repro.core.builder import (
     TreeBuilder,
     adaptive_intervals,
     alive_runs,
+    candidate_ginis,
     classify_zones,
+    cut_candidates,
+    distribute,
     merge_contiguous,
     resolve_exact_threshold,
     resolve_single_level,
     zone_boundaries,
 )
-from repro.core.gini import gini, gini_partition
+from repro.core.cmp_s import PendingSplit
+from repro.core.gini import gini
 from repro.core.histogram import ClassHistogram
 from repro.core.intervals import (
     AttributeAnalysis,
@@ -66,7 +70,6 @@ from repro.data.dataset import Dataset
 from repro.data.discretize import edges_from_histogram
 from repro.data.schema import Schema
 from repro.io.metrics import BuildStats
-from repro.io.pager import ScanChunk
 
 _EPS = 1e-12
 
@@ -85,8 +88,12 @@ class BPart:
         assert self.mset.class_counts is not None
         return self.mset.class_counts
 
-    def update(self, X: np.ndarray, y: np.ndarray) -> None:
-        """Add a batch of records to the part's matrices."""
+    def update(
+        self, X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None
+    ) -> None:
+        """Add a batch of records to the part's matrices (unweighted only)."""
+        if weights is not None:
+            raise ValueError("matrix parts accumulate unweighted records only")
         self.mset.update(X, y)
 
     def nbytes(self) -> int:
@@ -144,6 +151,33 @@ class SecondSplit:
             self.aux_hist.merge_from(delta.aux_hist)
         self.buffer.extend_from(delta.buffer)
 
+    def route(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        rids: np.ndarray,
+        rows: np.ndarray,
+        dest: np.ndarray,
+        base: int,
+    ) -> None:
+        """:meth:`PendingSplit.route` for the side's rows, one level down.
+
+        An estimated split buffers the rows inside its alive run and adds
+        the others to ``aux_hist``.
+        """
+        if self.exact_split is not None:
+            dest[rows] = np.where(self.exact_split.goes_left(X[rows]), base, base + 1)
+            return
+        v = X[rows, self.attr]
+        zones = classify_zones(v, np.array([self.alive_lo, self.alive_hi]))
+        buffered = zones == 1
+        if buffered.any():
+            kept = rows[buffered]
+            self.buffer.append(X[kept], y[kept], rids[kept])
+        assert self.aux_hist is not None
+        self.aux_hist.update(v[~buffered], y[rows[~buffered]])
+        dest[rows] = np.where(buffered, -1, base + (zones >> 1))
+
 
 @dataclass
 class Side:
@@ -175,70 +209,64 @@ class Side:
             assert delta.part is not None
             self.part.merge_from(delta.part)
 
+    def route(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        rids: np.ndarray,
+        rows: np.ndarray,
+        dest: np.ndarray,
+        base: int,
+    ) -> None:
+        """Send the side's rows to its part, or through its second split."""
+        if len(rows) == 0:
+            return
+        if self.second is None:
+            dest[rows] = base
+        else:
+            self.second.route(X, y, rids, rows, dest, base)
+
 
 @dataclass
-class BPending:
-    """A CMP-B pending split (single- or two-level)."""
+class BPending(PendingSplit):
+    """A CMP-B pending split over matrix parts.
 
-    node: Node
-    parent_slot: int
-    # --- single-level path (CMP-S semantics over MatrixSets) -------------
-    exact_split: Split | None = None
-    attr: int = -1
-    zone_bounds: np.ndarray = field(default_factory=lambda: np.empty(0))
-    alive_bounds: list[tuple[float, float]] = field(default_factory=list)
-    alive_cum_below: list[np.ndarray] = field(default_factory=list)
-    totals: np.ndarray = field(default_factory=lambda: np.empty(0))
-    best_boundary_value: float | None = None
-    best_boundary_gini: float = np.inf
-    parts: list[BPart] = field(default_factory=list)
-    buffer: RecordBuffer = field(default_factory=RecordBuffer)
-    # --- two-level path ----------------------------------------------------
+    The single-level path is :class:`PendingSplit`'s.  Two more: a
+    two-level pending (``two_level``) splits once on ``attr`` — exactly
+    at ``first_exact_threshold`` or estimated around one alive run — and
+    each of its two ``sides`` may split again; a linear pending (full
+    CMP) cuts a projection band ``linear.project`` instead of ``attr``.
+    """
+
     two_level: bool = False
     first_exact_threshold: float | None = None
     #: Candidate-threshold count behind ``first_exact_threshold`` (the MDL
     #: split-encoding value term).
     first_exact_candidates: int = 1
     sides: list[Side] = field(default_factory=list)
-    # --- linear path (full CMP): a projection band instead of an attribute --
     linear: "LinearSplit | None" = None
 
     def all_parts(self) -> list[BPart]:
-        """Every preliminary part across both paths."""
+        """Every preliminary part; a two-level pending's are its sides'."""
         if self.two_level:
             return [p for s in self.sides for p in s.parts()]
         return self.parts
 
     def scan_delta(self) -> "BPending":
-        """Structural clone with empty accumulators (one worker's delta).
+        """Structural clone with empty accumulators, sides included."""
+        delta = super().scan_delta()
+        delta.sides = [side.scan_delta() for side in self.sides]
+        return delta  # type: ignore[return-value]
 
-        Decision-time fields (split, zones, the linear projection, part
-        slots) are shared read-only; parts, sides and buffers are fresh
-        so each worker thread accumulates privately.  Covers all four
-        routing paths — exact, estimated, two-level and linear.
-        """
-        return replace(
-            self,
-            parts=[part.clone_empty() for part in self.parts],
-            buffer=RecordBuffer(budget_bytes=self.buffer.budget_bytes),
-            sides=[side.scan_delta() for side in self.sides],
-        )
-
-    def merge_scan_delta(self, delta: "BPending") -> None:
+    def merge_scan_delta(self, delta: "BPending") -> None:  # type: ignore[override]
         """Fold one worker's delta in; callers merge in chunk order."""
-        for part, dpart in zip(self.parts, delta.parts):
-            part.merge_from(dpart)
-        self.buffer.extend_from(delta.buffer)
+        super().merge_scan_delta(delta)
         for side, dside in zip(self.sides, delta.sides):
             side.merge_scan_delta(dside)
 
-    def parts_nbytes(self) -> int:
-        """Bytes of every preliminary part's matrices."""
-        return sum(part.nbytes() for part in self.all_parts())
-
     def delta_nbytes(self) -> int:
-        """Bytes one fresh scan delta occupies (buffers start empty)."""
-        total = self.parts_nbytes()
+        """Bytes one fresh scan delta occupies, second-level histograms too."""
+        total = super().delta_nbytes()
         for side in self.sides:
             if side.second is not None and side.second.aux_hist is not None:
                 total += side.second.aux_hist.nbytes()
@@ -246,9 +274,61 @@ class BPending:
 
     def buffer_nbytes(self) -> int:
         """Bytes of records buffered by the last scan, second levels included."""
-        return self.buffer.nbytes() + sum(
+        return super().buffer_nbytes() + sum(
             s.second.buffer.nbytes() for s in self.sides if s.second is not None
         )
+
+    def routed_values(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The linear projection of the rows, or their ``attr`` values."""
+        if self.linear is not None:
+            return self.linear.project(X[rows])
+        return super().routed_values(X, rows)
+
+    def route(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        rids: np.ndarray,
+        rows: np.ndarray,
+        dest: np.ndarray,
+        base: int,
+        weights: np.ndarray | None = None,
+    ) -> None:
+        """:meth:`PendingSplit.route`, plus the two-level path.
+
+        A two-level pending buffers the rows inside its first split's
+        alive run and sends the rest to a side.
+        """
+        if not self.two_level:
+            super().route(X, y, rids, rows, dest, base, weights)
+            return
+        xv = X[rows, self.attr]
+        if self.first_exact_threshold is not None:
+            upper = xv > self.first_exact_threshold
+        else:
+            zones = classify_zones(xv, self.zone_bounds)
+            buffered = zones == 1
+            if buffered.any():
+                kept = rows[buffered]
+                self.buffer.append(X[kept], y[kept], rids[kept])
+                rows, zones = rows[~buffered], zones[~buffered]
+            upper = zones == 2
+        self.route_sides(X, y, rids, rows, upper, dest, base)
+
+    def route_sides(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        rids: np.ndarray,
+        rows: np.ndarray,
+        upper: np.ndarray,
+        dest: np.ndarray,
+        base: int,
+    ) -> None:
+        """Send ``rows`` to the lower side, or to the upper one where ``upper``."""
+        for side, side_rows in zip(self.sides, (rows[~upper], rows[upper])):
+            side.route(X, y, rids, side_rows, dest, base)
+            base += len(side.parts())
 
 
 #: A resolved child node and the part whose summary it is decided from.
@@ -276,97 +356,6 @@ class CMPBBuilder(TreeBuilder):
         cont = schema.continuous_indices()
         root_x = int(cont[rng.integers(0, len(cont))])
         return BPart(0, MatrixSet.create(schema, root_x, root_edges), False)
-
-    # ------------------------------------------------------------------ routing
-
-    def _route_chunk(
-        self, chunk: ScanChunk, nid: np.ndarray, pendings: dict[int, BPending]
-    ) -> None:
-        slots = nid[chunk.start : chunk.stop]
-        for slot, p in pendings.items():
-            mask = slots == slot
-            if not mask.any():
-                continue
-            X = chunk.X[mask]
-            y = chunk.y[mask]
-            rids = chunk.rids[mask]
-            if p.two_level:
-                self._route_two_level(p, X, y, rids, nid)
-            elif p.exact_split is not None:
-                left = p.exact_split.goes_left(X)
-                for part, m in zip(p.parts, (left, ~left)):
-                    part.mset.update(X[m], y[m])
-                    nid[rids[m]] = part.slot
-            else:
-                vals = (
-                    p.linear.project(X) if p.linear is not None else X[:, p.attr]
-                )
-                zones = classify_zones(vals, p.zone_bounds)
-                alive = (zones & 1) == 1
-                if alive.any():
-                    p.buffer.append(X[alive], y[alive], rids[alive])
-                for r, part in enumerate(p.parts):
-                    m = zones == 2 * r
-                    if m.any():
-                        part.mset.update(X[m], y[m])
-                        nid[rids[m]] = part.slot
-
-    def _route_two_level(
-        self,
-        p: BPending,
-        X: np.ndarray,
-        y: np.ndarray,
-        rids: np.ndarray,
-        nid: np.ndarray,
-    ) -> None:
-        xv = X[:, p.attr]
-        if p.first_exact_threshold is not None:
-            side_idx = (xv > p.first_exact_threshold).astype(np.intp)
-            keep = np.ones(len(y), dtype=bool)
-        else:
-            zones = classify_zones(xv, p.zone_bounds)
-            buffered = zones == 1
-            if buffered.any():
-                p.buffer.append(X[buffered], y[buffered], rids[buffered])
-            keep = ~buffered
-            side_idx = (zones == 2).astype(np.intp)
-        for s, side in enumerate(p.sides):
-            m = keep & (side_idx == s)
-            if m.any():
-                self._route_side(side, X[m], y[m], rids[m], nid)
-
-    def _route_side(
-        self,
-        side: Side,
-        X: np.ndarray,
-        y: np.ndarray,
-        rids: np.ndarray,
-        nid: np.ndarray,
-    ) -> None:
-        if side.second is None:
-            assert side.part is not None
-            side.part.mset.update(X, y)
-            nid[rids] = side.part.slot
-            return
-        sec = side.second
-        if sec.exact_split is not None:
-            left = sec.exact_split.goes_left(X)
-            for part, m in zip(sec.parts, (left, ~left)):
-                part.mset.update(X[m], y[m])
-                nid[rids[m]] = part.slot
-            return
-        v = X[:, sec.attr]
-        zones = classify_zones(v, np.array([sec.alive_lo, sec.alive_hi]))
-        buffered = zones == 1
-        if buffered.any():
-            sec.buffer.append(X[buffered], y[buffered], rids[buffered])
-        assert sec.aux_hist is not None
-        sec.aux_hist.update(v[~buffered], y[~buffered])
-        for r, part in enumerate(sec.parts):
-            m = zones == 2 * r
-            if m.any():
-                part.mset.update(X[m], y[m])
-                nid[rids[m]] = part.slot
 
     # ------------------------------------------------------------------ decide
 
@@ -747,45 +736,21 @@ class CMPBBuilder(TreeBuilder):
         )
         base = under.class_counts
         totals = base + above.class_counts + buf_counts
-        n = totals.sum()
-
-        cand_thr = [float(p.zone_bounds[0])]
-        cand_left = [base]
-        if len(yb):
-            order = np.argsort(w, kind="stable")
-            v = w[order]
-            lab = yb[order]
-            onehot = np.zeros((len(v), schema.n_classes), dtype=np.float64)
-            onehot[np.arange(len(v)), lab] = 1.0
-            cum = np.cumsum(onehot, axis=0) + base[None, :]
-            boundaries = list(np.nonzero(v[:-1] < v[1:])[0]) + [len(v) - 1]
-            for t in boundaries:
-                cand_thr.append(float(v[t]))
-                cand_left.append(cum[t])
-        left = np.stack(cand_left)
-        nl = left.sum(axis=1)
-        valid = (nl > 0) & (nl < n)
-        if not valid.any():
+        cuts, cut_left = cut_candidates(w, yb, base, include_last=True)
+        ginis = candidate_ginis(np.vstack([base, cut_left]), totals)
+        k = int(np.argmin(ginis))
+        if not np.isfinite(ginis[k]):
             for part in p.parts:
                 remap[part.slot] = p.parent_slot
             return []
-        ginis = np.where(
-            valid,
-            np.asarray(gini_partition(left, totals[None, :] - left)),
-            np.inf,
-        )
-        k = int(np.argmin(ginis))
-        threshold = cand_thr[k]
+        threshold = float(p.zone_bounds[0]) if k == 0 else float(cuts[k - 1])
         split = LinearSplit(
             p.linear.attr_x, p.linear.attr_y, b=p.linear.b,
             c=threshold, a=p.linear.a,
         )
         if len(yb):
-            goes_left = w <= threshold
-            under.mset.update(Xb[goes_left], yb[goes_left])
-            above.mset.update(Xb[~goes_left], yb[~goes_left])
-            nid[rids[goes_left]] = under.slot
-            nid[rids[~goes_left]] = above.slot
+            dest = np.where(w <= threshold, 0, 1).astype(np.int64)
+            distribute([under, above], Xb, yb, rids, dest, nid)
         if under.class_counts.sum() == 0 or above.class_counts.sum() == 0:
             for part in p.parts:
                 remap[part.slot] = p.parent_slot
@@ -832,10 +797,12 @@ class CMPBBuilder(TreeBuilder):
             threshold = res.threshold
             first_candidates = res.n_candidates
             if len(yb):
-                goes_left = buf_vals <= threshold
-                for s, m in ((0, goes_left), (1, ~goes_left)):
-                    if m.any():
-                        self._route_side(p.sides[s], Xb[m], yb[m], rids[m], nid)
+                # The buffered records take the scan's route from the sides
+                # down: a second split buffers its alive run again.
+                dest = np.full(len(yb), -1, dtype=np.int64)
+                upper = ~(buf_vals <= threshold)
+                p.route_sides(Xb, yb, rids, np.arange(len(yb)), upper, dest, 0)
+                distribute(p.all_parts(), Xb, yb, rids, dest, nid)
 
         items: list[Child] = []
         children: list[Node] = []
@@ -885,11 +852,8 @@ class CMPBBuilder(TreeBuilder):
             # Distribute the second-level buffer.
             Xb, yb, rids = sec.buffer.concatenated()
             if len(yb):
-                goes_left = Xb[:, sec.attr] <= c2
-                lpart.mset.update(Xb[goes_left], yb[goes_left])
-                rpart.mset.update(Xb[~goes_left], yb[~goes_left])
-                nid[rids[goes_left]] = lpart.slot
-                nid[rids[~goes_left]] = rpart.slot
+                dest = np.where(Xb[:, sec.attr] <= c2, 0, 1).astype(np.int64)
+                distribute(sec.parts, Xb, yb, rids, dest, nid)
         if lpart.class_counts.sum() == 0 or rpart.class_counts.sum() == 0:
             return self._merge_side(side, parent_depth, remap, nid, account)
         stats.two_level_splits += 1
@@ -924,38 +888,20 @@ class CMPBBuilder(TreeBuilder):
             else np.zeros(schema.n_classes)
         )
         totals = sec.aux_hist.totals() + buf_counts
-        n = totals.sum()
-
-        cand_thr: list[float] = []
-        cand_left: list[np.ndarray] = []
+        cuts, cut_left = cut_candidates(buf_vals, yb, base)
+        cand_thr: list[float] = cuts.tolist()
+        cand_left: list[np.ndarray] = list(cut_left)
         if np.isfinite(sec.alive_lo):
-            cand_thr.append(sec.alive_lo)
-            cand_left.append(base)
-        if len(yb):
-            order = np.argsort(buf_vals, kind="stable")
-            v = buf_vals[order]
-            lab = yb[order]
-            onehot = np.zeros((len(v), schema.n_classes), dtype=np.float64)
-            onehot[np.arange(len(v)), lab] = 1.0
-            cum = np.cumsum(onehot, axis=0) + base[None, :]
-            for t in np.nonzero(v[:-1] < v[1:])[0]:
-                cand_thr.append(float(v[t]))
-                cand_left.append(cum[t])
+            cand_thr.insert(0, sec.alive_lo)
+            cand_left.insert(0, base)
         if np.isfinite(sec.alive_hi):
             cand_thr.append(sec.alive_hi)
             cand_left.append(base + buf_counts)
         if not cand_thr:
             return None, None
-        left = np.stack(cand_left)
-        nl = left.sum(axis=1)
-        valid = (nl > 0) & (nl < n)
-        if not valid.any():
+        ginis = candidate_ginis(np.stack(cand_left), totals)
+        if not np.isfinite(ginis).any():
             return None, None
-        ginis = np.where(
-            valid,
-            np.asarray(gini_partition(left, totals[None, :] - left)),
-            np.inf,
-        )
         k = int(np.argmin(ginis))
         stats.splits_resolved_exactly += 1
         return (
@@ -979,7 +925,6 @@ class CMPBBuilder(TreeBuilder):
         remap[rpart.slot] = lpart.slot
         Xb, yb, rids = sec.buffer.concatenated()
         if len(yb):
-            lpart.mset.update(Xb, yb)
-            nid[rids] = lpart.slot
+            distribute([lpart], Xb, yb, rids, np.zeros(len(yb), dtype=np.int64), nid)
         child = account.new_node(parent_depth + 1, lpart.class_counts.copy())
         return child, [(child, lpart)]

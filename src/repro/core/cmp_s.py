@@ -25,10 +25,11 @@ identically, see DESIGN.md §3) and the root-histogram pass of line 03.
 Child grids are re-quantiled from the parent's histograms without touching
 the data (:func:`repro.data.discretize.edges_from_histogram`).
 
-The scans, checkpoints and memory ledger belong to
-:class:`~repro.core.level_driver.LevelDriver`; this module supplies its
-strategy seams — per-attribute histograms as the root summary, routing,
-resolution (steps 1-3) and the decision (step 4).
+The scans, routing, checkpoints and memory ledger belong to
+:class:`~repro.core.level_driver.LevelDriver`; this module supplies the
+pending split, which says where its records go (:meth:`PendingSplit.route`),
+and the driver's strategy seams — per-attribute histograms as the root
+summary, resolution (steps 1-3) and the decision (step 4).
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ from typing import Callable
 import numpy as np
 
 from repro.core.builder import (
-    PartGroup,
     PartState,
     RecordBuffer,
-    SlotGroups,
     TreeBuilder,
     adaptive_intervals,
     alive_runs,
@@ -53,14 +52,13 @@ from repro.core.builder import (
 )
 from repro.core.histogram import CategoryHistogram, ClassHistogram
 from repro.core.intervals import analyze_attributes, choose_split_attribute
-from repro.core.level_driver import LevelDriver, ScanTarget
+from repro.core.level_driver import LevelDriver
 from repro.core.splits import CategoricalSplit, NumericSplit, Split
 from repro.core.tree import DecisionTree, Node, TreeAccount
 from repro.data.dataset import Dataset
 from repro.data.discretize import edges_from_histogram
 from repro.data.schema import Schema
 from repro.io.metrics import BuildStats
-from repro.io.pager import ScanChunk
 
 Hists = dict[int, ClassHistogram | CategoryHistogram]
 
@@ -109,9 +107,13 @@ class PendingSplit:
             part.merge_from(dpart)
         self.buffer.extend_from(delta.buffer)
 
+    def all_parts(self) -> list[PartState]:
+        """Every preliminary part, in the order :meth:`route` numbers them."""
+        return self.parts
+
     def parts_nbytes(self) -> int:
-        """Bytes of the preliminary parts' histograms."""
-        return sum(part.nbytes() for part in self.parts)
+        """Bytes of the preliminary parts' summaries."""
+        return sum(part.nbytes() for part in self.all_parts())
 
     def delta_nbytes(self) -> int:
         """Bytes one fresh scan delta occupies (buffers start empty)."""
@@ -121,66 +123,39 @@ class PendingSplit:
         """Bytes of alive-interval records buffered by the last scan."""
         return self.buffer.nbytes()
 
+    def routed_values(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The values of rows ``rows`` that the estimated split's zones cut."""
+        return X[rows, self.attr]
 
-class _RoutePlan:
-    """What routing derives from one scan target's structure, once.
+    def route(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        rids: np.ndarray,
+        rows: np.ndarray,
+        dest: np.ndarray,
+        base: int,
+        weights: np.ndarray | None = None,
+    ) -> None:
+        """Send rows ``rows`` of a batch (record ids ``rids``) to their parts.
 
-    The target's pendings in order, a slot→pending index, each pending's
-    first part, and a :class:`PartGroup` over all their parts.
-    """
-
-    def __init__(self, pendings: ScanTarget) -> None:
-        self.pendings: list[PendingSplit] = list(pendings.values())
-        self.slots = SlotGroups(list(pendings))
-        self.base: list[int] = []
-        parts: list[PartState] = []
-        for p in self.pendings:
-            self.base.append(len(parts))
-            parts.extend(p.parts)
-        self.parts = PartGroup(parts)
-
-
-def route_grouped(
-    target: ScanTarget,
-    chunk: ScanChunk,
-    slots: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> None:
-    """Route a chunk into every pending of ``target`` in one grouped pass.
-
-    ``slots`` is the chunk's ``nid`` slice, rewritten in place.  One
-    stable counting sort groups the rows by pending; each pending maps
-    its run to a destination part, or to its alive buffer, which
-    therefore fills in chunk order; then one :meth:`PartGroup.update`
-    accumulates every part.  ``weights`` are per-record multiplicities (a
-    bagged forest member's draw counts): parts add them, and a weighted
-    alive record is buffered ``weight`` times.
-    """
-    plan = target.plan
-    if plan is None:
-        plan = target.plan = _RoutePlan(target)
-    order, bounds = plan.slots.group(slots)
-    dest = np.full(len(slots), -1, dtype=np.int64)
-    X, y = chunk.X, chunk.y
-    for i, p in enumerate(plan.pendings):
-        rows = order[bounds[i] : bounds[i + 1]]
-        if len(rows) == 0:
-            continue
-        base = plan.base[i]
-        if p.exact_split is not None:
-            dest[rows] = np.where(p.exact_split.goes_left(X[rows]), base, base + 1)
-            continue
-        zones = classify_zones(X[rows, p.attr], p.zone_bounds)
+        Sets ``dest[rows]`` to ``base`` plus the index of the row's part in
+        :meth:`all_parts`, or to ``-1`` for a row in an alive interval,
+        which goes to the buffer instead.  Rows arrive in batch order, so
+        the buffer fills in chunk order.  ``weights`` are per-record
+        multiplicities: a weighted alive row is buffered ``weight`` times.
+        """
+        if self.exact_split is not None:
+            dest[rows] = np.where(self.exact_split.goes_left(X[rows]), base, base + 1)
+            return
+        zones = classify_zones(self.routed_values(X, rows), self.zone_bounds)
         alive = (zones & 1) == 1
         if alive.any():
             kept = rows[alive]
             if weights is not None:
                 kept = np.repeat(kept, weights[kept].astype(np.int64))
-            p.buffer.append(X[kept], y[kept], chunk.start + kept)
+            self.buffer.append(X[kept], y[kept], rids[kept])
         dest[rows] = np.where(alive, -1, base + (zones >> 1))
-    plan.parts.update(X, y, dest, weights)
-    routed = dest >= 0
-    slots[routed] = plan.parts.slots[dest[routed]]
 
 
 class CMPSBuilder(TreeBuilder):
@@ -196,16 +171,6 @@ class CMPSBuilder(TreeBuilder):
         self, schema: Schema, root_edges: dict[int, np.ndarray], rng: np.random.Generator
     ) -> PartState:
         return PartState(0, schema.n_classes, make_part_hists(schema, root_edges))
-
-    # -- scan-time routing ---------------------------------------------------
-
-    def _route_chunk(
-        self,
-        chunk: ScanChunk,
-        nid: np.ndarray,
-        pendings: ScanTarget,
-    ) -> None:
-        route_grouped(pendings, chunk, nid[chunk.start : chunk.stop])
 
     # -- decisions (Figure 4, lines 15-19) ------------------------------------
 

@@ -185,13 +185,14 @@ class CompiledTree:
                     + coef_b[i] * cols[attr2[i]].take(idx)
                 ) <= threshold[i]
             else:
-                codes = cols[attr[i]].take(idx).astype(np.intp)
+                values = cols[attr[i]].take(idx)
                 length = cat_len[i]
-                seen = (codes >= 0) & (codes < length)
+                # CategoricalSplit.goes_left's rule: cast only the codes
+                # that land in the mask; NaN/inf/out of range default.
+                seen = (values > -1) & (values < length)
+                codes = np.where(seen, values, 0).astype(np.intp)
                 mask = self.cat_mask[cat_offset[i] : cat_offset[i] + length]
-                goes = np.where(
-                    seen, mask[np.clip(codes, 0, length - 1)], default_left[i]
-                )
+                goes = np.where(seen, mask[codes], default_left[i])
             stack.append((right[i], idx[~goes]))
             stack.append((left[i], idx[goes]))
         return out

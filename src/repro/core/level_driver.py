@@ -19,12 +19,13 @@ It also keeps the memory ledger: ``hist/root`` across scan 2,
 from the end of a level's scan until then too, and ``hist/<id>`` around
 each child's decision.
 
-A builder supplies four strategy seams:
+Routing is the same for every builder (:func:`route_grouped`): one stable
+grouping of a chunk's rows by ``nid`` slot, then each pending's
+``route`` says where its rows go — a preliminary part, or its alive
+buffer — and one grouped update fills every part.  A builder supplies
+three strategy seams:
 
 * ``_root_summary(schema, root_edges, rng)`` — the empty root part;
-* ``_route_chunk(chunk, nid, pendings)`` — scan-time routing of a chunk;
-  ``pendings`` is a :class:`ScanTarget` (the live pendings or one
-  worker's delta) whose ``plan`` slot caches per-target routing state;
 * ``_resolve(p, nid, remap, next_slot, account, schema, stats)`` — turn
   a scanned pending into tree nodes; returns ``(child, part)`` pairs;
 * ``_decide(node, part, next_slot, schema, stats)`` — a node's pending
@@ -32,8 +33,9 @@ A builder supplies four strategy seams:
 
 Parts provide ``slot``, ``class_counts``, ``update``, ``clone_empty``,
 ``merge_from`` and ``nbytes``; pendings provide ``node``,
-``parent_slot``, ``buffer``, ``scan_delta``, ``merge_scan_delta``,
-``parts_nbytes``, ``delta_nbytes`` and ``buffer_nbytes``.
+``parent_slot``, ``buffer``, ``all_parts``, ``route``, ``scan_delta``,
+``merge_scan_delta``, ``parts_nbytes``, ``delta_nbytes`` and
+``buffer_nbytes``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.builder import RecordBuffer, SlotGroups, apply_remap, charge_nid
+from repro.core.builder import (
+    PartGroup,
+    RecordBuffer,
+    SlotGroups,
+    apply_remap,
+    charge_nid,
+)
 from repro.core.checkpoint import CheckpointManager, SlotCounter, loop_state
 from repro.core.parallel import ScanEngine
 from repro.core.tree import DecisionTree, Node, TreeAccount
@@ -56,16 +64,64 @@ from repro.io.pager import ScanChunk
 class ScanTarget(dict):
     """One scan's pendings keyed by slot: the live set or a worker's delta.
 
-    ``plan`` holds what a builder derives from the target's structure to
-    route chunks (CMP-S: the slot index and per-part pointer tables), so
-    it is built once per target rather than once per chunk.  It is
-    process-local and never pickled with a worker's delta.
+    ``plan`` holds the :class:`_RoutePlan` derived from the target's
+    structure, so it is built once per target rather than once per chunk.
+    It is process-local and never pickled with a worker's delta.
     """
 
     plan: Any = None
 
     def __reduce__(self) -> tuple:
         return (ScanTarget, (dict(self),))
+
+
+class _RoutePlan:
+    """What routing derives from one scan target's structure, once.
+
+    The target's pendings in order, a slot→pending index, each pending's
+    first part, and a :class:`PartGroup` over all their parts.
+    """
+
+    def __init__(self, pendings: ScanTarget) -> None:
+        self.pendings: list[Any] = list(pendings.values())
+        self.slots = SlotGroups(list(pendings))
+        self.base: list[int] = []
+        parts: list[Any] = []
+        for p in self.pendings:
+            self.base.append(len(parts))
+            parts.extend(p.all_parts())
+        self.parts = PartGroup(parts)
+
+
+def route_grouped(
+    target: ScanTarget,
+    chunk: ScanChunk,
+    slots: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> None:
+    """Route a chunk into every pending of ``target`` in one grouped pass.
+
+    ``slots`` is the chunk's ``nid`` slice, rewritten in place.  One
+    stable counting sort groups the rows by pending; each pending's
+    ``route`` maps its rows, in chunk order, to a destination part or to
+    an alive buffer; then one :meth:`PartGroup.update` accumulates every
+    part and ``nid`` is rewritten once.  ``weights`` are per-record
+    multiplicities (a bagged forest member's draw counts): parts add
+    them, and a weighted alive record is buffered ``weight`` times.
+    """
+    plan = target.plan
+    if plan is None:
+        plan = target.plan = _RoutePlan(target)
+    order, bounds = plan.slots.group(slots)
+    dest = np.full(len(slots), -1, dtype=np.int64)
+    X, y, rids = chunk.X, chunk.y, chunk.rids
+    for i, p in enumerate(plan.pendings):
+        rows = order[bounds[i] : bounds[i + 1]]
+        if len(rows):
+            p.route(X, y, rids, rows, dest, plan.base[i], weights)
+    plan.parts.update(X, y, dest, weights)
+    routed = dest >= 0
+    slots[routed] = plan.parts.slots[dest[routed]]
 
 
 class LevelDriver:
@@ -222,7 +278,9 @@ class LevelDriver:
         with stats.phase("scan"):
             engine.scan(
                 table,
-                route=lambda chunk, tgt: self.builder._route_chunk(chunk, self.nid, tgt),
+                route=lambda chunk, tgt: route_grouped(
+                    tgt, chunk, self.nid[chunk.start : chunk.stop]
+                ),
                 live=ScanTarget(pendings),
                 make_delta=lambda: ScanTarget(
                     (slot, p.scan_delta()) for slot, p in pendings.items()
@@ -338,4 +396,4 @@ class LevelDriver:
         }
 
 
-__all__ = ["LevelDriver", "ScanTarget"]
+__all__ = ["LevelDriver", "ScanTarget", "route_grouped"]

@@ -8,22 +8,22 @@ dependencies) into a shared library at first use via whatever ``cc`` /
 ``gcc`` / ``clang`` the machine has, loads it through :mod:`ctypes`, and
 hands back a kernel callable.  No compiler, a failed compile, an
 unusual platform, or ``CMP_NO_NATIVE=1`` in the environment all degrade
-to returning ``None`` — callers then use the pure-numpy path, which is
-always available and bit-identical.
+to returning ``None`` (:class:`~repro.core.native_build.KernelLoader`) —
+callers then use the pure-numpy path, which is always available and
+bit-identical.
 
 Bit-identity notes: the kernel is compiled with ``-ffp-contract=off``
 so ``a*x + b*y`` rounds exactly like the two-instruction numpy
-evaluation (no FMA contraction), and the categorical code conversion
-uses the same float→int64 C cast semantics numpy's ``astype(intp)``
-has on every platform where this kernel builds (the build is refused
-on platforms where ``intp`` is not 64-bit).
+evaluation (no FMA contraction).  A categorical code is truncated toward
+zero, as numpy's ``astype(intp)`` does, but only once it is known to land
+in ``[0, cat_len)``: NaN, infinities and values out of range take the
+node's default child without a float→int cast, which C leaves undefined
+for them.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
-import threading
 
 import numpy as np
 
@@ -31,6 +31,18 @@ from repro.core import native_build
 
 _SOURCE = r"""
 #include <stdint.h>
+
+/* Whether categorical node i sends code value v left: codes truncate
+ * toward zero, and a value whose code falls outside [0, cat_len) (NaN and
+ * infinities included) takes the default child. */
+static int cat_goes_left(double v, int64_t i, const uint8_t *default_left,
+                         const int64_t *cat_offset, const int64_t *cat_len,
+                         const uint8_t *cat_mask)
+{
+    if (v > -1.0 && v < (double)cat_len[i])
+        return cat_mask[cat_offset[i] + (int64_t)v];
+    return default_left[i];
+}
 
 /* Node tags match repro.core.compiled: LEAF=0 NUMERIC=1 CATEGORICAL=2
  * LINEAR=3.  Leaves self-loop through left/right, so the walk simply
@@ -59,11 +71,8 @@ void cmp_route(int64_t n, int64_t ncols, const double *X,
                 go = coef_a[i] * row[attr[i]] + coef_b[i] * row[attr2[i]]
                      <= threshold[i];
             } else {
-                int64_t code = (int64_t)row[attr[i]];
-                if (code >= 0 && code < cat_len[i])
-                    go = cat_mask[cat_offset[i] + code];
-                else
-                    go = default_left[i];
+                go = cat_goes_left(row[attr[i]], i, default_left,
+                                   cat_offset, cat_len, cat_mask);
             }
             i = go ? left[i] : right[i];
         }
@@ -111,11 +120,8 @@ void cmp_forest_score(int64_t n, int64_t ncols, const double *X,
                     go = coef_a[i] * row[attr[i]] + coef_b[i] * row[attr2[i]]
                          <= threshold[i];
                 } else {
-                    int64_t code = (int64_t)row[attr[i]];
-                    if (code >= 0 && code < cat_len[i])
-                        go = cat_mask[cat_offset[i] + code];
-                    else
-                        go = default_left[i];
+                    go = cat_goes_left(row[attr[i]], i, default_left,
+                                       cat_offset, cat_len, cat_mask);
                 }
                 i = go ? left[i] : right[i];
             }
@@ -127,29 +133,14 @@ void cmp_forest_score(int64_t n, int64_t ncols, const double *X,
 }
 """
 
-_lock = threading.Lock()
-_kernel = None
-_resolved = False
+_PTR = ctypes.c_void_p
+_I64 = ctypes.c_int64
 
 
-def _build():
-    if np.intp(0).itemsize != 8 or np.dtype(np.int64).byteorder not in ("=", "<", ">"):
-        return None
-    # Shared content-addressed cache with atomic publication: concurrent
-    # processes (routine with the process scan backend) race benignly.
-    lib = native_build.load_library("route", _SOURCE)
-    if lib is None:
-        return None
-    fn = lib.cmp_route
-    fn.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 14
-    fn.restype = None
-    ffn = lib.cmp_forest_score
-    ffn.argtypes = (
-        [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
-        + [ctypes.c_void_p] * 14
-        + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
-    )
-    ffn.restype = None
+def _bind(fns: dict) -> dict:
+    """Wrap the C entry points as ``kernel(compiled, X, out)`` callables."""
+    fn = fns["route"]
+    ffn = fns["forest_score"]
 
     def kernel(ct, X: np.ndarray, out: np.ndarray) -> None:
         n, ncols = X.shape
@@ -202,22 +193,20 @@ def _build():
     return {"route": kernel, "forest": forest}
 
 
-def _resolve():
-    global _kernel, _resolved
-    if _resolved:
-        return _kernel
-    with _lock:
-        if _resolved:
-            return _kernel
-        if os.environ.get("CMP_NO_NATIVE"):
-            _kernel = None
-        else:
-            try:
-                _kernel = _build()
-            except Exception:
-                _kernel = None
-        _resolved = True
-    return _kernel
+# Shared content-addressed cache with atomic publication: concurrent
+# processes (routine with the process scan backend) race benignly.
+_KERNELS = native_build.KernelLoader(
+    "route",
+    _SOURCE,
+    {
+        "route": (None, [_I64, _I64] + [_PTR] * 14),
+        "forest_score": (
+            None,
+            [_I64, _I64, _PTR, _I64] + [_PTR] * 14 + [_I64, _PTR, _PTR, _PTR],
+        ),
+    },
+    bind=_bind,
+)
 
 
 def route_kernel():
@@ -227,7 +216,7 @@ def route_kernel():
     ``CMP_NO_NATIVE=1`` for forcing the numpy path, e.g. to compare the
     two implementations or on machines where the toolchain misbehaves.
     """
-    kernels = _resolve()
+    kernels = _KERNELS.get()
     return None if kernels is None else kernels["route"]
 
 
@@ -236,7 +225,7 @@ def forest_kernel():
 
     Same resolution and degradation contract as :func:`route_kernel`.
     """
-    kernels = _resolve()
+    kernels = _KERNELS.get()
     return None if kernels is None else kernels["forest"]
 
 

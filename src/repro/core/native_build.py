@@ -1,10 +1,14 @@
-"""Race-safe, on-demand compilation shared by the native kernels.
+"""Race-safe, on-demand compilation and loading shared by the native kernels.
 
 Both kernel modules (:mod:`repro.core.native` for prediction,
 :mod:`repro.core.native_scan` for training) compile a small dependency-free
 C source with whatever ``cc`` / ``gcc`` / ``clang`` the machine has and load
-the result through :mod:`ctypes`.  This module owns the build step so both
-share one cache and one concurrency story:
+the result through :mod:`ctypes`.  Each declares only its source and its
+functions' signatures in a :class:`KernelLoader`, which resolves them once
+per process and degrades to ``None`` — "use numpy" — under
+``CMP_NO_NATIVE=1``, on platforms whose ``intp`` is not 64-bit, without a
+compiler, or on any build or load failure.  This module owns the build
+step so both share one cache and one concurrency story:
 
 * Libraries land in a **shared cache directory** (``CMP_NATIVE_CACHE`` in
   the environment, or ``<tmpdir>/cmp-repro-native``), keyed by a hash of
@@ -32,6 +36,11 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
+
+import numpy as np
 
 #: Flags every kernel is compiled with.  ``-ffp-contract=off`` is load-
 #: bearing for bit-identity: contraction would fuse ``a*x + b*y`` into an
@@ -99,4 +108,79 @@ def load_library(stem: str, source: str) -> ctypes.CDLL | None:
     return ctypes.CDLL(lib_path)
 
 
-__all__ = ["FLAGS", "compiler", "cache_dir", "library_path", "load_library"]
+#: A kernel's ``(restype, argtypes)`` for :mod:`ctypes`.
+Signature = tuple[Any, list[Any]]
+
+
+class KernelLoader:
+    """One C source's kernels, built and loaded at most once per process.
+
+    ``signatures`` maps each kernel's name to its ``(restype, argtypes)``;
+    the C function is ``cmp_<name>``.  :meth:`get` returns the name →
+    function table, passed through ``bind`` when given, or ``None`` when
+    the kernels are unavailable (see the module docstring).
+    """
+
+    def __init__(
+        self,
+        stem: str,
+        source: str,
+        signatures: dict[str, Signature],
+        bind: Callable[[dict[str, Any]], Any] | None = None,
+    ) -> None:
+        self._stem = stem
+        self._source = source
+        self._signatures = signatures
+        self._bind = bind
+        self._lock = threading.Lock()
+        self._kernels: Any = None
+        self._resolved = False
+
+    def get(self) -> Any:
+        """The kernels, or ``None``; the first call builds them."""
+        if self._resolved:
+            return self._kernels
+        with self._lock:
+            if not self._resolved:
+                self._kernels = self._load()
+                self._resolved = True
+        return self._kernels
+
+    def _load(self) -> Any:
+        if os.environ.get("CMP_NO_NATIVE") or np.intp(0).itemsize != 8:
+            return None
+        try:
+            lib = load_library(self._stem, self._source)
+            if lib is None:
+                return None
+            fns: dict[str, Any] = {}
+            for name, (restype, argtypes) in self._signatures.items():
+                fn = getattr(lib, f"cmp_{name}")
+                fn.restype = restype
+                fn.argtypes = argtypes
+                fns[name] = fn
+            return fns if self._bind is None else self._bind(fns)
+        except Exception:
+            return None
+
+    @contextmanager
+    def disabled(self) -> Iterator[None]:
+        """Report the kernels as unavailable inside the block (nestable)."""
+        with self._lock:
+            saved = (self._kernels, self._resolved)
+            self._kernels, self._resolved = None, True
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._kernels, self._resolved = saved
+
+
+__all__ = [
+    "FLAGS",
+    "KernelLoader",
+    "compiler",
+    "cache_dir",
+    "library_path",
+    "load_library",
+]

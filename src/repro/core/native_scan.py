@@ -45,10 +45,8 @@ platforms where ``np.intp`` is not 64-bit):
 from __future__ import annotations
 
 import ctypes
-import os
 import threading
-from contextlib import contextmanager
-from typing import Iterator
+from contextlib import AbstractContextManager
 
 import numpy as np
 
@@ -97,12 +95,18 @@ static void fold_max(double *slot, double v)
         *slot = v;
 }
 
-/* bins = searchsorted(edges, values); np.add.at(counts, (bins, labels), 1);
- * np.minimum.at(vmin, bins, values); np.maximum.at(vmax, bins, values).
- * Returns 1 on a label out of range (numpy raises IndexError). */
+/* bins = searchsorted(edges, values); np.add.at(counts, (bins, labels),
+ * weights); np.minimum.at(vmin, bins, values); np.maximum.at(vmax, bins,
+ * values).  weights may be NULL (unit adds).  Counts stay exact
+ * (integer-valued weights on integer-valued counts), so a weight-w add is
+ * bit-identical to w unit adds in any order.  Extrema fold every record —
+ * callers drop zero-weight records beforehand so phantom values never
+ * pollute the per-bin min/max.  Returns 1 on a label out of range (numpy
+ * raises IndexError). */
 int cmp_hist_accum(int64_t n, int64_t vstride, const double *values,
-                   const int64_t *labels, const double *edges, int64_t m,
-                   int64_t c, double *counts, double *vmin, double *vmax)
+                   const int64_t *labels, const double *weights,
+                   const double *edges, int64_t m, int64_t c,
+                   double *counts, double *vmin, double *vmax)
 {
     for (int64_t r = 0; r < n; ++r) {
         double v = values[r * vstride];
@@ -112,44 +116,19 @@ int cmp_hist_accum(int64_t n, int64_t vstride, const double *values,
         if (lab < 0 || lab >= c)
             return 1;
         int64_t b = bin_of(v, edges, m);
-        counts[b * c + lab] += 1.0;
+        counts[b * c + lab] += weights ? weights[r] : 1.0;
         fold_min(vmin + b, v);
         fold_max(vmax + b, v);
     }
     return 0;
 }
 
-/* Weighted variant: np.add.at(counts, (bins, labels), weights).  Counts
- * stay exact (integer-valued weights on integer-valued counts), so a
- * weight-w add is bit-identical to w unit adds in any order.  Extrema
- * fold every record, like the unweighted kernel — callers drop
- * zero-weight records beforehand so phantom values never pollute the
- * per-bin min/max. */
-int cmp_hist_accum_w(int64_t n, int64_t vstride, const double *values,
-                     const int64_t *labels, const double *weights,
-                     const double *edges, int64_t m, int64_t c,
-                     double *counts, double *vmin, double *vmax)
-{
-    for (int64_t r = 0; r < n; ++r) {
-        double v = values[r * vstride];
-        int64_t lab = labels[r];
-        if (lab < 0)
-            lab += c;
-        if (lab < 0 || lab >= c)
-            return 1;
-        int64_t b = bin_of(v, edges, m);
-        counts[b * c + lab] += weights[r];
-        fold_min(vmin + b, v);
-        fold_max(vmax + b, v);
-    }
-    return 0;
-}
-
-/* np.add.at(counts, (codes.astype(intp), labels), 1) — C-cast code
- * conversion, negative indices wrap, out of range returns 1. */
+/* np.add.at(counts, (codes.astype(intp), labels), weights) — C-cast code
+ * conversion, negative indices wrap, out of range returns 1; weights may
+ * be NULL (unit adds). */
 int cmp_cat_accum(int64_t n, int64_t vstride, const double *codes,
-                  const int64_t *labels, int64_t ncat, int64_t c,
-                  double *counts)
+                  const int64_t *labels, const double *weights,
+                  int64_t ncat, int64_t c, double *counts)
 {
     for (int64_t r = 0; r < n; ++r) {
         double cv = codes[r * vstride];
@@ -165,37 +144,15 @@ int cmp_cat_accum(int64_t n, int64_t vstride, const double *codes,
             lab += c;
         if (k < 0 || k >= ncat || lab < 0 || lab >= c)
             return 1;
-        counts[k * c + lab] += 1.0;
+        counts[k * c + lab] += weights ? weights[r] : 1.0;
     }
     return 0;
 }
 
-/* Weighted variant: np.add.at(counts, (codes, labels), weights). */
-int cmp_cat_accum_w(int64_t n, int64_t vstride, const double *codes,
-                    const int64_t *labels, const double *weights,
-                    int64_t ncat, int64_t c, double *counts)
-{
-    for (int64_t r = 0; r < n; ++r) {
-        double cv = codes[r * vstride];
-        if (cv != cv || cv >= 9.2233720368547758e18 || cv < -9.2233720368547758e18)
-            return 1;
-        int64_t k = (int64_t)cv;
-        int64_t lab = labels[r];
-        if (k < 0)
-            k += ncat;
-        if (lab < 0)
-            lab += c;
-        if (k < 0 || k >= ncat || lab < 0 || lab >= c)
-            return 1;
-        counts[k * c + lab] += weights[r];
-    }
-    return 0;
-}
-
-/* Grouped cmp_hist_accum / cmp_hist_accum_w over many parts at once: row
- * r lands in part dest[r] (rows with a negative dest are skipped), whose
- * histogram has sizes[d] edges at edges[d] and accumulators counts[d],
- * vmin[d], vmax[d].  weights may be NULL (unit adds).  Each part sees its
+/* Grouped cmp_hist_accum over many parts at once: row r lands in part
+ * dest[r] (rows with a negative dest are skipped), whose histogram has
+ * sizes[d] edges at edges[d] and accumulators counts[d], vmin[d],
+ * vmax[d].  weights may be NULL (unit adds).  Each part sees its
  * rows in row order, so one call equals one per-part call on each part's
  * rows, bit for bit.  Returns 1 on a label out of range, 2 on a dest at
  * or past n_parts. */
@@ -226,7 +183,7 @@ int cmp_hist_accum_grouped(int64_t n, int64_t vstride, const double *values,
     return 0;
 }
 
-/* Grouped cmp_cat_accum / cmp_cat_accum_w: part d has sizes[d]
+/* Grouped cmp_cat_accum: part d has sizes[d]
  * categories and counts[d]; same dest and return conventions. */
 int cmp_cat_accum_grouped(int64_t n, int64_t vstride, const double *codes,
                           const int64_t *labels, const double *weights,
@@ -451,10 +408,6 @@ void cmp_slope_walk(int64_t qx, int64_t qy, int64_t c, const double *counts,
 #: elements, and only the sequential order is replicated in C.
 _MAX_SEQUENTIAL_CLASSES = 8
 
-_lock = threading.Lock()
-_kernels: dict[str, object] | None = None
-_resolved = False
-
 #: Per-process tally of applied kernel calls, by kernel name.  Plain int
 #: increments under the GIL; read via :func:`kernel_counts`.  With the
 #: process scan backend, chunk-accumulation calls made inside forked
@@ -488,57 +441,25 @@ def _count(name: str) -> None:
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_int64
 
-
-def _build() -> dict[str, object] | None:
-    if np.intp(0).itemsize != 8 or np.dtype(np.int64).byteorder not in ("=", "<", ">"):
-        return None
-    lib = native_build.load_library("scan", _SOURCE)
-    if lib is None:
-        return None
-    sig = {
-        "hist_accum": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR]),
-        "hist_accum_w": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR]),
-        "cat_accum": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _I64, _I64, _PTR]),
-        "cat_accum_w": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _I64, _I64, _PTR]),
+_KERNELS = native_build.KernelLoader(
+    "scan",
+    _SOURCE,
+    {
+        "hist_accum": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR]),
+        "cat_accum": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _I64, _I64, _PTR]),
         "hist_accum_grouped": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR]),
         "cat_accum_grouped": (ctypes.c_int, [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR]),
         "matrix_accum32": (ctypes.c_int, [_I64, _PTR, _I64, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR]),
         "matrix_accum64": (ctypes.c_int, [_I64, _PTR, _I64, _PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR]),
         "boundary_ginis": (None, [_I64, _I64, _PTR, _PTR, _PTR, _PTR]),
         "slope_walk": (None, [_I64, _I64, _I64, _PTR, _I64, _PTR, _PTR]),
-    }
-    fns: dict[str, object] = {}
-    for name, (restype, argtypes) in sig.items():
-        fn = getattr(lib, f"cmp_{name}")
-        fn.restype = restype
-        fn.argtypes = argtypes
-        fns[name] = fn
-    return fns
-
-
-def _resolve() -> dict[str, object] | None:
-    """The kernel table, resolved once per process (``CMP_NO_NATIVE=1``
-    and any build failure resolve to ``None``)."""
-    global _kernels, _resolved
-    if _resolved:
-        return _kernels
-    with _lock:
-        if _resolved:
-            return _kernels
-        if os.environ.get("CMP_NO_NATIVE"):
-            _kernels = None
-        else:
-            try:
-                _kernels = _build()
-            except Exception:
-                _kernels = None
-        _resolved = True
-    return _kernels
+    },
+)
 
 
 def available() -> bool:
     """True when the training kernels built (or will build) here."""
-    return _resolve() is not None
+    return _KERNELS.get() is not None
 
 
 def warm_up() -> bool:
@@ -586,23 +507,15 @@ def merge_counts(delta: dict[str, int]) -> None:
             _COUNTS[name] += int(calls)
 
 
-@contextmanager
-def force_numpy() -> Iterator[None]:
-    """Temporarily report the kernels as unavailable (tests/benchmarks).
+def force_numpy() -> AbstractContextManager[None]:
+    """Temporarily report the training kernels as unavailable.
 
-    In-process counterpart of ``CMP_NO_NATIVE=1``: every dispatch inside
-    the block takes the numpy path.  Under the process scan backend the
-    forced state is inherited by workers forked inside the block.
+    In-process counterpart of ``CMP_NO_NATIVE=1`` for the scan kernels
+    only (tests/benchmarks): every dispatch inside the block takes the
+    numpy path.  Under the process scan backend the forced state is
+    inherited by workers forked inside the block.
     """
-    global _kernels, _resolved
-    with _lock:
-        saved = (_kernels, _resolved)
-        _kernels, _resolved = None, True
-    try:
-        yield
-    finally:
-        with _lock:
-            _kernels, _resolved = saved
+    return _KERNELS.disabled()
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +584,7 @@ def hist_accum(
     float64 weights on integer-valued counts stay exact, so the result
     is bit-identical to repeating each record ``weight`` times.
     """
-    fns = _resolve()
+    fns = _KERNELS.get()
     if fns is None:
         return False
     vstride = _f64_stride(values)
@@ -687,36 +600,24 @@ def hist_accum(
         and _contiguous_f64(vmax)
     ):
         return False
-    if weights is None:
-        rc = fns["hist_accum"](
-            len(values),
-            vstride,
-            values.ctypes.data,
-            lab.ctypes.data,
-            edges.ctypes.data,
-            len(edges),
-            counts.shape[1],
-            counts.ctypes.data,
-            vmin.ctypes.data,
-            vmax.ctypes.data,
-        )
-    else:
+    w = None
+    if weights is not None:
         w = _weights_f64(weights, len(values))
         if w is None:
             return False
-        rc = fns["hist_accum_w"](
-            len(values),
-            vstride,
-            values.ctypes.data,
-            lab.ctypes.data,
-            w.ctypes.data,
-            edges.ctypes.data,
-            len(edges),
-            counts.shape[1],
-            counts.ctypes.data,
-            vmin.ctypes.data,
-            vmax.ctypes.data,
-        )
+    rc = fns["hist_accum"](
+        len(values),
+        vstride,
+        values.ctypes.data,
+        lab.ctypes.data,
+        None if w is None else w.ctypes.data,
+        edges.ctypes.data,
+        len(edges),
+        counts.shape[1],
+        counts.ctypes.data,
+        vmin.ctypes.data,
+        vmax.ctypes.data,
+    )
     if rc:
         raise IndexError("class label out of bounds for histogram counts")
     _count("hist_accum")
@@ -730,7 +631,7 @@ def cat_accum(
     weights: object | None = None,
 ) -> bool:
     """Native ``CategoryHistogram.update`` body; False = use numpy."""
-    fns = _resolve()
+    fns = _KERNELS.get()
     if fns is None:
         return False
     vstride = _f64_stride(codes)
@@ -741,30 +642,21 @@ def cat_accum(
         return False
     if not _contiguous_f64(counts):
         return False
-    if weights is None:
-        rc = fns["cat_accum"](
-            len(codes),
-            vstride,
-            codes.ctypes.data,
-            lab.ctypes.data,
-            counts.shape[0],
-            counts.shape[1],
-            counts.ctypes.data,
-        )
-    else:
+    w = None
+    if weights is not None:
         w = _weights_f64(weights, len(codes))
         if w is None:
             return False
-        rc = fns["cat_accum_w"](
-            len(codes),
-            vstride,
-            codes.ctypes.data,
-            lab.ctypes.data,
-            w.ctypes.data,
-            counts.shape[0],
-            counts.shape[1],
-            counts.ctypes.data,
-        )
+    rc = fns["cat_accum"](
+        len(codes),
+        vstride,
+        codes.ctypes.data,
+        lab.ctypes.data,
+        None if w is None else w.ctypes.data,
+        counts.shape[0],
+        counts.shape[1],
+        counts.ctypes.data,
+    )
     if rc:
         raise IndexError("category code or class label out of bounds")
     _count("cat_accum")
@@ -900,7 +792,7 @@ def hist_accum_grouped(
     int64; negative rows are skipped).  Equal, bit for bit, to one
     ``hist_accum`` per part on that part's rows in row order.
     """
-    fns = _resolve()
+    fns = _KERNELS.get()
     if fns is None or table is None or not table.is_class_histogram:
         return False
     args = _grouped_args(values, labels, dest, table, weights)
@@ -921,7 +813,7 @@ def cat_accum_grouped(
     weights: object | None = None,
 ) -> bool:
     """One :func:`cat_accum` over many parts; False = use numpy."""
-    fns = _resolve()
+    fns = _KERNELS.get()
     if fns is None or table is None or table.is_class_histogram:
         return False
     args = _grouped_args(codes, labels, dest, table, weights)
@@ -944,7 +836,7 @@ def matrix_accum(
     vmax: np.ndarray,
 ) -> bool:
     """Native ``HistogramMatrix.update_binned`` body; False = use numpy."""
-    fns = _resolve()
+    fns = _KERNELS.get()
     if fns is None:
         return False
     if counts.dtype == np.int32:
@@ -999,7 +891,7 @@ def boundary_ginis(cum: np.ndarray, totals: np.ndarray) -> np.ndarray | None:
     switches to pairwise (possibly SIMD-dispatched) accumulation whose
     rounding the sequential C loop does not reproduce.
     """
-    fns = _resolve()
+    fns = _KERNELS.get()
     if fns is None:
         return None
     b, c = cum.shape
@@ -1028,7 +920,7 @@ def slope_walk(
     accumulation order irrelevant and its result bit-identical to numpy's.
     (Builder matrices always qualify; arbitrary float counts fall back.)
     """
-    fns = _resolve()
+    fns = _KERNELS.get()
     if fns is None:
         return None
     if counts.ndim != 3:

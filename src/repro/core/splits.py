@@ -80,20 +80,21 @@ class CategoricalSplit(Split):
 
     def goes_left(self, X: np.ndarray, unseen_left: bool = False) -> np.ndarray:
         """Boolean goes-left vector; ``unseen_left`` routes codes outside
-        ``left_mask`` (categories never seen at training time, or negative
-        codes from NaN casts).
+        ``left_mask`` (categories never seen at training time, negative
+        codes, NaN and infinities).
 
-        Indexing ``mask[codes]`` directly raised ``IndexError`` on unseen
-        codes; the tree walker and the compiled engine both pass the
-        heavier child as the default so their routing agrees.
+        Codes truncate toward zero like ``astype(intp)``, but only those
+        that land inside ``left_mask`` are cast, so a non-finite code never
+        is.  The tree walker and the compiled engine both pass the heavier
+        child as the default so their routing agrees.
         """
         mask = np.asarray(self.left_mask, dtype=bool)
-        codes = X[:, self.attr].astype(np.intp)
-        seen = (codes >= 0) & (codes < len(mask))
+        values = X[:, self.attr]
+        seen = (values > -1) & (values < len(mask))
         if seen.all():
-            return mask[codes]
-        out = np.full(len(codes), unseen_left, dtype=bool)
-        out[seen] = mask[codes[seen]]
+            return mask[values.astype(np.intp)]
+        out = np.full(len(values), unseen_left, dtype=bool)
+        out[seen] = mask[values[seen].astype(np.intp)]
         return out
 
     def describe(self, schema: Schema | None = None) -> str:

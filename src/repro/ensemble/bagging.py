@@ -50,8 +50,8 @@ from repro.core.builder import (
     make_part_hists,
 )
 from repro.core.checkpoint import SlotCounter
-from repro.core.cmp_s import CMPSBuilder, PendingSplit, route_grouped
-from repro.core.level_driver import LevelDriver, ScanTarget
+from repro.core.cmp_s import CMPSBuilder, PendingSplit
+from repro.core.level_driver import LevelDriver, ScanTarget, route_grouped
 from repro.core.parallel import ScanEngine
 from repro.core.tree import DecisionTree, TreeAccount
 from repro.data.dataset import Dataset
@@ -376,7 +376,7 @@ class BaggedForestBuilder:
     ) -> None:
         """Route one chunk through every live member's pending splits.
 
-        Each member takes the grouped route of ``CMPSBuilder._route_chunk``
+        Each member takes a solo build's grouped route (``route_grouped``)
         with its draw counts as weights: weighted part updates and
         ``np.repeat``-expanded buffer appends; see the module docstring
         for why both are exact.

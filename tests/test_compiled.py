@@ -153,6 +153,56 @@ class TestUnseenCategories:
         np.testing.assert_array_equal(t.predict(X), t.walk_predict(X))
 
 
+#: Codes that must take a categorical node's default child, plus
+#: fractional codes that truncate into range like ``astype(intp)``.
+JUNK_CODES = [
+    np.nan, np.inf, -np.inf, 1e30, -1e30, 2.0**63, -(2.0**63), -1.0, -0.5, 0.5, 2.9
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNonFiniteCodes:
+    """NaN, infinite and out-of-int64 category codes at predict time.
+
+    Every path sends them to the heavier child without casting a
+    non-finite float (numpy warns on that cast; C leaves it undefined).
+    """
+
+    def _batch(self, t, seed):
+        X = random_batch(t.schema, 400, seed=seed)
+        rng = np.random.default_rng(seed)
+        for j in t.schema.categorical_indices():
+            hit = rng.random(len(X)) < 0.5
+            X[hit, j] = rng.choice(JUNK_CODES, size=int(hit.sum()))
+        return X
+
+    def test_goes_left_defaults_junk_codes(self):
+        split = CategoricalSplit(0, (False, True, False))
+        X = np.array([JUNK_CODES]).T
+        got = split.goes_left(X, unseen_left=True)
+        # -0.5 and 0.5 truncate to code 0, 2.9 to code 2 (both right).
+        assert got.tolist() == [True] * 8 + [False] * 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_walker_compiled_and_forest_agree(self, seed):
+        from repro.core import native
+        from repro.core.compiled import compile_forest
+
+        kw = dict(p_categorical=0.7, p_numeric=0.2, p_linear=0.1, leaf_prob=0.1)
+        trees = [random_tree(depth=6, seed=seed + k, **kw) for k in (0, 100)]
+        X = self._batch(trees[0], seed)
+        walked = trees[0].walk_apply(X)
+        c = trees[0].compiled()
+        np.testing.assert_array_equal(c.node_id[c.route(X)], walked)
+        np.testing.assert_array_equal(c.node_id[c._route_numpy(X)], walked)
+        expected = np.zeros((len(X), 3)) + trees[0].walk_predict_proba(X)
+        expected += trees[1].walk_predict_proba(X)
+        forest = compile_forest(trees)
+        np.testing.assert_array_equal(forest.decision_values(X), expected)
+        with native._KERNELS.disabled():
+            np.testing.assert_array_equal(forest.decision_values(X), expected)
+
+
 class TestFingerprint:
     def test_stable_across_recompiles(self):
         t = random_tree(depth=4, seed=20)
